@@ -11,7 +11,7 @@ from .config import RunConfig, build_components, config_hash, parse_config
 from .errors import ConfigError, DomainError, NumericsError
 from .freefall import (FoldedMap, GridSpec, MapMaker, annihilation_current,
                        build_folded_map, current_map_yt)
-from .gqs import build_basis, overlap_coefficients, transmitted_fraction
+from .gqs import build_basis, transmitted_fraction
 from .inference import (EventSet, GridDensityFamily, cramer_rao_sigma,
                         estimate_g, fisher_information, log_likelihood,
                         run_campaign, sample_events)
@@ -24,7 +24,7 @@ __all__ = [
     "parse_config", "ConfigError", "DomainError", "NumericsError",
     "FoldedMap",
     "GridSpec", "MapMaker", "annihilation_current", "build_folded_map",
-    "current_map_yt", "build_basis", "overlap_coefficients",
+    "current_map_yt", "build_basis",
     "transmitted_fraction", "EventSet", "GridDensityFamily",
     "cramer_rao_sigma", "estimate_g", "fisher_information", "log_likelihood",
     "run_campaign", "sample_events", "DiskGeometry", "CONSTANTS",

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import DomainError, NumericsError
+from .kernels import simpson_weights
 from .physcore import CONSTANTS, GravScales
 
 #: Dimensionless support cut: Ai(x) has fallen below ~1e-16 of its peak for
@@ -30,22 +31,6 @@ from .physcore import CONSTANTS, GravScales
 SUPPORT_PAD = 15.0
 #: Default absorber edge over the largest retained mode.
 Z_MAX_PAD = 10.0
-
-
-def airy_ai(x):
-    """Ai(x) for real x (vectorized).  NaN input is a domain error."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
-        raise DomainError("airy_ai: NaN in argument")
-    return sps.airy(x)[0]
-
-
-def airy_ai_prime(x):
-    """Ai'(x) for real x (vectorized).  NaN input is a domain error."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
-        raise DomainError("airy_ai_prime: NaN in argument")
-    return sps.airy(x)[1]
 
 
 def airy_zero_guess(n):
@@ -95,29 +80,6 @@ def airy_zeros(n_max: int) -> AiryZeroTable:
     return AiryZeroTable(n_max=int(n_max), values=lam, ai_prime=aip)
 
 
-def save_zero_table(path, table: AiryZeroTable) -> None:
-    """Write one zero magnitude per line, 15 significant digits."""
-    with open(path, "w") as fh:
-        for v in table.values:
-            fh.write(f"{v:.15g}\n")
-
-
-def load_zero_table(path) -> AiryZeroTable:
-    """Read a zero table written by `save_zero_table` and revalidate it."""
-    with open(path) as fh:
-        vals = [float(line) for line in fh if line.strip()]
-    if not vals:
-        raise DomainError(f"zero table file {path} is empty")
-    lam = np.asarray(vals, dtype=float)
-    aip = sps.airy(-lam)[1]
-    return AiryZeroTable(n_max=len(lam), values=lam, ai_prime=aip)
-
-
-def mode_energy(n: int, table: AiryZeroTable, scales: GravScales) -> float:
-    """E_n = lam_n * energy scale."""
-    return table.lam(n) * scales.energy
-
-
 def support_cut(n: int, table: AiryZeroTable, scales: GravScales) -> float:
     """Height beyond which mode n is numerically negligible."""
     return (table.lam(n) + SUPPORT_PAD) * scales.length
@@ -139,10 +101,10 @@ def eigenfunction_matrix(table: AiryZeroTable, xi: np.ndarray) -> np.ndarray:
     depends on the dimensionless grid, so one table serves every g.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0.0):
-        raise DomainError("mode matrix grid must satisfy xi >= 0")
+    if not np.all(xi >= 0.0):
+        raise DomainError("mode matrix grid must satisfy xi >= 0 (no NaN)")
     out = np.empty((table.n_max, len(xi)))
-    # chunk the scipy call: the full outer grid can be large
+    # one scipy call per mode row: the full outer grid can be large
     for k in range(table.n_max):
         out[k] = sps.airy(xi - table.values[k])[0]
     out /= table.ai_prime[:, None]
@@ -157,11 +119,7 @@ def _momentum_quadrature_grid(lam: float, w_max: float, samples: float):
     if npts % 2 == 0:
         npts += 1
     xi = np.linspace(0.0, span, npts)
-    w = np.ones(npts)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (xi[1] - xi[0]) / 3.0
-    return xi, w
+    return xi, simpson_weights(npts, xi[1] - xi[0])
 
 
 def eigenfunction_momentum(n: int, p, table: AiryZeroTable, scales: GravScales,
@@ -190,11 +148,7 @@ def momentum_matrix(table: AiryZeroTable, p: np.ndarray, scales: GravScales,
     w = p * scales.length / CONSTANTS.hbar
     lam_top = float(table.values[-1])
     xi, wts = _momentum_quadrature_grid(lam_top, float(np.max(np.abs(w))), samples)
-    a = np.empty((table.n_max, len(xi)))
-    for k in range(table.n_max):
-        a[k] = sps.airy(xi - table.values[k])[0]
-    a /= table.ai_prime[:, None]
-    aw = a * wts
+    aw = eigenfunction_matrix(table, xi) * wts
     ec = np.cos(np.outer(xi, w))
     es = np.sin(np.outer(xi, w))
     pref = math.sqrt(scales.length / (2.0 * np.pi * CONSTANTS.hbar))

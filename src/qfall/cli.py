@@ -27,7 +27,7 @@ from .inference import (EventSet, GridDensityFamily, count_information,
                         cramer_rao_sigma, estimate_g, fisher_information,
                         replicate_rng, run_campaign, sample_events)
 from .physcore import CONSTANTS, derive_scales
-from .source import polar_marginal
+from .source import polar_nodes
 
 
 def _versions() -> dict:
@@ -132,9 +132,10 @@ def _cmd_basis(cfg, args, out_dir):
 
 def _cmd_source_dist(cfg, args, out_dir):
     trap, pd, _, _ = build_components(cfg)
-    u, w = polar_marginal(pd, cfg.n_polar)
+    nodes = polar_nodes(pd, cfg.n_polar)
     _write_csv(os.path.join(out_dir, "source_dist.csv"),
-               {"n_polar": cfg.n_polar}, ["u", "weight"], [u, w])
+               {"n_polar": cfg.n_polar}, ["u", "weight"],
+               [nodes.u, nodes.w_even])
     data = {"trap_width_m": trap.width,
             "momentum_spread_kgmps": trap.momentum_spread,
             "velocity_spread_mps": trap.velocity_spread,
@@ -147,10 +148,10 @@ def _cmd_source_dist(cfg, args, out_dir):
 def _cmd_end_of_mirror(cfg, args, out_dir):
     trap, pd, geom, _ = build_components(cfg)
     basis = build_basis(cfg.n_max, cfg.g)
-    u, w = polar_marginal(pd, cfg.n_polar)
+    nodes = polar_nodes(pd, cfg.n_polar)
     coeff = overlap_matrix(basis, geom.release_height, trap.width,
-                           pd.recoil_momentum * u)
-    populations = w @ (np.abs(coeff) ** 2)
+                           pd.recoil_momentum * nodes.u)
+    populations = nodes.w_even @ (np.abs(coeff) ** 2)
     n = np.arange(1, cfg.n_max + 1)
     _write_csv(os.path.join(out_dir, "end_of_mirror.csv"),
                {"g_mps2": "%.17g" % cfg.g,

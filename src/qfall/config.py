@@ -175,6 +175,9 @@ def _validate(cfg: RunConfig):
                           "are exclusive variants")
     if all(abs(c) < 1e-300 for c in cfg.polarization):
         raise ConfigError("source.polarization must be a nonzero direction")
+    if cfg.n_scan < 5 or cfg.n_scan % 2 == 0:
+        raise ConfigError("inference.n_scan must be an odd count of at "
+                          "least 5")
 
 
 def load_config(path: str) -> RunConfig:

@@ -21,6 +21,8 @@ reduced to exponentially scaled Bessel weights), `current_map_yt` (the
 unfolded density on a (Y, T) cut through the detector plane), and
 `annihilation_current` (a brute-force spot value summing explicit kick
 directions, kept as an independent cross-check of the folded assembly).
+All three take their recoil nodes from `source.polar_nodes`, their mode
+sums from `ModeGrid.fall_sums` and their per-node rates from `_node_rates`.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special as sps
 
-from .airy import eigenfunction_matrix
+from .airy import SUPPORT_PAD, eigenfunction_matrix
 from .errors import ConfigError, DomainError
 from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
 from .kernels import get_engine, mode_chirp_sums, simpson_weights
-from .mirror import DiskGeometry
-from .physcore import CONSTANTS, G_DEFAULT, PhysicalConstants
-from .source import PhotodetachConfig, TrapConfig
-
-SUPPORT_PAD = 15.0  # dimensionless support cut of mode n at lambda_n + 15
+from .mirror import DiskGeometry, evolve_to_end_of_disk, time_above_mirror
+from .physcore import CONSTANTS, G_DEFAULT, GravScales, PhysicalConstants
+from .source import PhotodetachConfig, TrapConfig, polar_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +85,37 @@ def make_context(tau: float, detector_z, g: float = G_DEFAULT,
                               zprime=zprime, phase=phi)
 
 
+def _chirp_sums(chi_w, z, idx_cut, tau, detector_z, g: float,
+                constants: PhysicalConstants):
+    """F, G of `mode_chirp_sums` for fall times tau to heights detector_z.
+
+    tau and detector_z broadcast to one lattice; the free kernel is taken
+    at the shifted endpoint Z' = Z + g tau^2 / 2.
+    """
+    tau, Z = np.broadcast_arrays(np.asarray(tau, dtype=float),
+                                 np.asarray(detector_z, dtype=float))
+    alpha = constants.atom_mass / (2.0 * constants.hbar * tau)
+    return mode_chirp_sums(chi_w, z, idx_cut, alpha, Z + 0.5 * g * tau * tau,
+                           1.0 / tau, g * tau)
+
+
+def _profile_sums(z, psi, tau, detector_z, g: float,
+                  constants: PhysicalConstants, weights):
+    """Chirp sums (SF, SG) of one sampled complex profile psi(z)."""
+    z = np.asarray(z, dtype=float)
+    psi = np.asarray(psi, dtype=complex)
+    if z.ndim != 1 or psi.shape != z.shape:
+        raise DomainError("psi must be sampled on the 1d grid z")
+    if weights is None:
+        weights = simpson_weights(z.shape[0], float(z[1] - z[0]))
+    chi_w = psi * weights
+    # the real and imaginary parts ride through as two real rows
+    F, G = _chirp_sums(np.stack([chi_w.real, chi_w.imag]), z,
+                       np.full(2, z.shape[0], dtype=np.int64), tau,
+                       detector_z, g, constants)
+    return F[:, 0] + 1j * F[:, 1], G[:, 0] + 1j * G[:, 1]
+
+
 def propagate_profile(z, psi, tau: float, detector_z, g: float = G_DEFAULT,
                       constants: PhysicalConstants = CONSTANTS, weights=None):
     """Propagate a sampled profile psi(z) through the fall.
@@ -93,32 +124,11 @@ def propagate_profile(z, psi, tau: float, detector_z, g: float = G_DEFAULT,
     (hbar / i m) d(psi_det)/dZ, the velocity-weighted amplitude whose product
     with conj(psi_det) gives the probability current.
     """
-    z = np.asarray(z, dtype=float)
-    psi = np.asarray(psi, dtype=complex)
-    if z.ndim != 1 or psi.shape != z.shape:
-        raise DomainError("psi must be sampled on the 1d grid z")
-    if weights is None:
-        weights = simpson_weights(z.shape[0], float(z[1] - z[0]))
     ctx = make_context(tau, detector_z, g, constants)
-    m = constants.atom_mass
-    hbar = constants.hbar
-    alpha = m / (2.0 * hbar * tau)
-    L = ctx.zprime.shape[0]
-    chi_w = (psi * weights)[None, :]
-    # complex profiles ride through as two real rows
-    F_re, G_re = mode_chirp_sums(np.ascontiguousarray(chi_w.real), z,
-                                 np.asarray([z.shape[0]], dtype=np.int64),
-                                 np.full(L, alpha), ctx.zprime,
-                                 np.full(L, 1.0 / tau),
-                                 np.full(L, g * tau))
-    F_im, G_im = mode_chirp_sums(np.ascontiguousarray(chi_w.imag), z,
-                                 np.asarray([z.shape[0]], dtype=np.int64),
-                                 np.full(L, alpha), ctx.zprime,
-                                 np.full(L, 1.0 / tau),
-                                 np.full(L, g * tau))
-    SF = F_re[:, 0] + 1j * F_im[:, 0]
-    SG = G_re[:, 0] + 1j * G_im[:, 0]
-    pref = math.sqrt(m / (2.0 * math.pi * hbar * tau)) * np.exp(
+    SF, SG = _profile_sums(z, psi, tau, ctx.detector_z, g, constants,
+                           weights)
+    pref = math.sqrt(constants.atom_mass
+                     / (2.0 * math.pi * constants.hbar * tau)) * np.exp(
         -0.25j * math.pi - 1j * ctx.phase)
     return pref * SF, pref * SG
 
@@ -132,27 +142,12 @@ def plane_current(z, psi, tau_values, detector_z: float,
                   g: float = G_DEFAULT,
                   constants: PhysicalConstants = CONSTANTS, weights=None):
     """Detection rate of a profile at one plane for a batch of fall times."""
-    z = np.asarray(z, dtype=float)
-    psi = np.asarray(psi, dtype=complex)
     tau = np.asarray(tau_values, dtype=float)
     if np.any(tau <= 0.0):
         raise DomainError("fall times must be positive")
-    if weights is None:
-        weights = simpson_weights(z.shape[0], float(z[1] - z[0]))
-    m = constants.atom_mass
-    hbar = constants.hbar
-    alpha = m / (2.0 * hbar * tau)
-    zprime = detector_z + 0.5 * g * tau * tau
-    cut = np.asarray([z.shape[0]], dtype=np.int64)
-    chi_re = np.ascontiguousarray((psi.real * weights)[None, :])
-    chi_im = np.ascontiguousarray((psi.imag * weights)[None, :])
-    F_re, G_re = mode_chirp_sums(chi_re, z, cut, alpha, zprime, 1.0 / tau,
-                                 g * tau)
-    F_im, G_im = mode_chirp_sums(chi_im, z, cut, alpha, zprime, 1.0 / tau,
-                                 g * tau)
-    SF = F_re[:, 0] + 1j * F_im[:, 0]
-    SG = G_re[:, 0] + 1j * G_im[:, 0]
-    return -(m / (2.0 * math.pi * hbar * tau)) * np.real(np.conj(SF) * SG)
+    SF, SG = _profile_sums(z, psi, tau, detector_z, g, constants, weights)
+    return -(constants.atom_mass / (2.0 * math.pi * constants.hbar * tau)) \
+        * np.real(np.conj(SF) * SG)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +246,14 @@ class ModeGrid:
     chi: np.ndarray      # (n_max, J) Ai(xi - lambda_n) / Ai'(-lambda_n)
     idx_cut: np.ndarray  # per-mode sample count up to the support cut
 
+    def fall_sums(self, scales: GravScales, geometry: DiskGeometry, tau,
+                  constants: PhysicalConstants):
+        """Mode sums F, G, shape (K, n_max), for the fall times tau (K,)."""
+        ell = scales.length
+        chi_w = self.chi * (self.wxi * math.sqrt(ell))[None, :]
+        return _chirp_sums(chi_w, self.xi * ell, self.idx_cut, tau,
+                           -geometry.fall_height, scales.g, constants)
+
 
 def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
                      tau_window, spec: GridSpec) -> ModeGrid:
@@ -277,6 +280,27 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     for n in range(chi.shape[0]):
         chi[n, idx_cut[n]:] = 0.0
     return ModeGrid(xi=xi, wxi=wxi, chi=chi, idx_cut=idx_cut)
+
+
+def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
+                G: np.ndarray, tau: np.ndarray,
+                constants: PhysicalConstants) -> np.ndarray:
+    """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF) SG).
+
+    SF = sum_n c~_n F_n with c~ the overlaps `coeff` (n_u, N) evolved over
+    the edge time t; the result is (n_u, K) for the K rows of F and G.  One
+    scalar t phases the overlaps once; one t per row phases F and G instead,
+    so no (K, n_u, N) array of evolved overlaps is formed.
+    """
+    if np.ndim(t) == 0:
+        ctil = evolve_to_end_of_disk(basis, coeff, t)
+        SF, SG = ctil @ F.T, ctil @ G.T
+    else:
+        t = np.asarray(t)[:, None]
+        SF = (evolve_to_end_of_disk(basis, F, t) @ coeff.T).T
+        SG = (evolve_to_end_of_disk(basis, G, t) @ coeff.T).T
+    return -(constants.atom_mass / (2.0 * math.pi * constants.hbar)) \
+        * (1.0 / tau) * np.real(np.conj(SF) * SG)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +348,7 @@ class MapMaker:
                  photodetach: PhotodetachConfig, geometry: DiskGeometry,
                  spec: GridSpec = GridSpec(), g0: float = G_DEFAULT,
                  constants: PhysicalConstants = CONSTANTS):
-        pol = np.asarray(photodetach.polarization)
-        if photodetach.dipolar and not (abs(pol[2]) < 1e-12
-                                        or abs(pol[2]) > 1.0 - 1e-12):
-            raise ConfigError("folded maps support polarization either in "
-                              "the detector plane or vertical")
+        self.nodes = polar_nodes(photodetach, spec.n_polar, folded=True)
         self.trap = trap
         self.photodetach = photodetach
         self.geometry = geometry
@@ -340,87 +360,51 @@ class MapMaker:
         tau_vals = self.axes.tau_values
         self.mode_grid = _build_mode_grid(self.basis0, geometry,
                                           (tau_vals[0], tau_vals[-1]), spec)
-        nz2 = pol[2] ** 2
-        if photodetach.dipolar:
-            u, wu = np.polynomial.legendre.leggauss(spec.n_polar)
-            self.coef_even = 0.75 * ((1.0 - nz2) * (1.0 - u ** 2)
-                                     + 2.0 * nz2 * u ** 2)
-            self.coef_cos2 = 0.75 * (1.0 - nz2) * (1.0 - u ** 2)
-        else:
-            # deterministic kick: one direction, unit angular weight; the
-            # azimuth structure lives entirely in the Gaussian ridge
-            u, wu = np.asarray([pol[2]]), np.ones(1)
-            self.coef_even = np.ones(1)
-            self.coef_cos2 = np.zeros(1)
-        self.node_u = u
-        self.node_w = wu
-        self.pol_angle = float(math.atan2(pol[1], pol[0])) if (
-            1.0 - nz2) > 1e-24 else 0.0
 
     def build(self, g: float) -> FoldedMap:
         axes = self.axes
         spec = self.spec
         geom = self.geometry
         pd = self.photodetach
+        nodes = self.nodes
         basis = build_basis(self.basis0.n_max, g, table=self.basis0.table,
                             constants=self.constants)
-        scales = basis.scales
         m = self.constants.atom_mass
-        hbar = self.constants.hbar
-        ell = scales.length
 
-        qz_nodes = pd.recoil_momentum * self.node_u
         coeff = overlap_matrix(basis, geom.release_height, self.trap.width,
-                               qz_nodes)
-        fraction = float((self.node_w * self.coef_even) @
-                         np.sum(np.abs(coeff) ** 2, axis=1)) if pd.dipolar \
-            else float(np.sum(np.abs(coeff) ** 2))
+                               pd.recoil_momentum * nodes.u)
+        fraction = float(nodes.w_even @ np.sum(np.abs(coeff) ** 2, axis=1))
 
         tau = axes.tau_values
-        z = self.mode_grid.xi * ell
-        chi_w = self.mode_grid.chi * (self.mode_grid.wxi
-                                      * math.sqrt(ell))[None, :]
-        alpha = m / (2.0 * hbar * tau)
-        zprime = -geom.fall_height + 0.5 * g * tau * tau
-        F, G = mode_chirp_sums(np.ascontiguousarray(chi_w), z,
-                               self.mode_grid.idx_cut, alpha, zprime,
-                               1.0 / tau, g * tau)
+        F, G = self.mode_grid.fall_sums(basis.scales, geom, tau,
+                                        self.constants)
 
         n_t, n_T = axes.t.shape[0], axes.T.shape[0]
         M = axes.n_tau
         stride = axes.stride
         dp = self.trap.momentum_spread
         qbar = pd.recoil_momentum * np.sqrt(
-            np.maximum(0.0, 1.0 - self.node_u ** 2))
-        lam = basis.table.values
+            np.maximum(0.0, 1.0 - nodes.u ** 2))
         d = geom.travel_distance
 
         density = np.zeros((n_t, n_T))
         even = np.zeros((n_t, n_T))
         cos2 = np.zeros((n_t, n_T)) if pd.dipolar else None
         concentration = np.zeros(n_t) if not pd.dipolar else None
-        inv_tau_w = 1.0 / tau
         neg_mass = 0.0
         pos_mass = 0.0
         for i, ti in enumerate(axes.t):
-            phase = lam * (ti / scales.time)
-            ctil = coeff * (np.cos(phase) - 1j * np.sin(phase))[None, :]
-            SF = ctil @ F.T
-            SG = ctil @ G.T
-            rate = -(m / (2.0 * math.pi * hbar)) * inv_tau_w[None, :] * (
-                np.real(np.conj(SF) * SG))            # (n_u, M)
+            rate = _node_rates(basis, coeff, ti, F, G, tau,
+                               self.constants)   # (n_u, M)
             pbar = m * d / ti
             kappa = pbar * qbar / (dp * dp)
             gauss = np.exp(-(pbar - qbar) ** 2 / (2.0 * dp * dp))
-            w_even = (self.node_w * self.coef_even * gauss
-                      * sps.ive(0, kappa))
             block = slice(i * stride, i * stride + M)
-            A = w_even @ rate
+            A = (nodes.w_even * gauss * sps.ive(0, kappa)) @ rate
             even[i, block] = A
             if pd.dipolar:
-                w_cos2 = (self.node_w * self.coef_cos2 * gauss
-                          * sps.ive(2, kappa))
-                cos2[i, block] = w_cos2 @ rate
+                cos2[i, block] = (nodes.w_cos2 * gauss
+                                  * sps.ive(2, kappa)) @ rate
             else:
                 concentration[i] = kappa[0]
             Tj = axes.T[block]
@@ -440,13 +424,13 @@ class MapMaker:
             ratio = None
         meta = {"fraction": fraction, "engine": get_engine(),
                 "clipped_mass": float(neg_mass / max(pos_mass, 1e-300)),
-                "n_z": int(z.shape[0]), "n_tau": int(M),
+                "n_z": int(self.mode_grid.xi.shape[0]), "n_tau": int(M),
                 "tau_lo": float(tau[0]), "tau_hi": float(tau[-1]),
                 "g0": self.g0, "n_max": basis.n_max}
         return FoldedMap(g=g, t=axes.t.copy(), T=axes.T.copy(),
                          density=density, azimuth_model=(
                              "dipole" if pd.dipolar else "vonmises"),
-                         pol_angle=self.pol_angle, azimuth_ratio=ratio,
+                         pol_angle=nodes.pol_angle, azimuth_ratio=ratio,
                          concentration=concentration,
                          jacobian=spec.jacobian, metadata=meta)
 
@@ -478,95 +462,54 @@ class DetectorMap:
 def current_map_yt(basis: GQSBasis, trap: TrapConfig,
                    photodetach: PhotodetachConfig, geometry: DiskGeometry,
                    y_values, T_values, spec: GridSpec = GridSpec(),
-                   clip: bool = True,
                    constants: PhysicalConstants = CONSTANTS) -> DetectorMap:
     """Density per unit detector area and time along the Y axis (X = 0)."""
     y = np.asarray(y_values, dtype=float)
     T = np.asarray(T_values, dtype=float)
-    if np.any(y <= geometry.travel_distance):
-        raise DomainError("detector cut must lie beyond the mirror edge")
-    if np.any(T <= 0.0):
-        raise DomainError("arrival times must be positive")
-    pol = np.asarray(photodetach.polarization)
-    nz2 = pol[2] ** 2
-    if photodetach.dipolar and not (nz2 < 1e-12 or nz2 > 1.0 - 1e-12):
-        raise ConfigError("detector cuts support polarization either in the "
-                          "plane or vertical")
-    m = constants.atom_mass
-    hbar = constants.hbar
-    scales = basis.scales
-    d = geometry.travel_distance
-    tmat = T[None, :] * d / y[:, None]
+    tmat = time_above_mirror(geometry, y[:, None], T[None, :])
     taumat = T[None, :] - tmat
     if np.any(taumat <= 0.0):
         raise DomainError("every (y, T) cell must leave time for the fall")
-
-    if photodetach.dipolar:
-        u, wu = np.polynomial.legendre.leggauss(spec.n_polar)
-        coef_even = 0.75 * ((1.0 - nz2) * (1.0 - u ** 2) + 2.0 * nz2 * u ** 2)
-        coef_cos2 = 0.75 * (1.0 - nz2) * (1.0 - u ** 2)
-    else:
-        u, wu = np.asarray([pol[2]]), np.ones(1)
-        coef_even = np.ones(1)
-        coef_cos2 = np.zeros(1)
-    pol_angle = float(math.atan2(pol[1], pol[0])) if (1.0 - nz2) > 1e-24 \
-        else 0.0
+    nodes = polar_nodes(photodetach, spec.n_polar, folded=True)
+    m = constants.atom_mass
     coeff = overlap_matrix(basis, geometry.release_height, trap.width,
-                           photodetach.recoil_momentum * u)
+                           photodetach.recoil_momentum * nodes.u)
 
     grid = _build_mode_grid(basis, geometry,
                             (float(taumat.min()), float(taumat.max())), spec)
-    z = grid.xi * scales.length
-    chi_w = grid.chi * (grid.wxi * math.sqrt(scales.length))[None, :]
-    tau_flat = taumat.ravel()
-    t_flat = tmat.ravel()
-    F, G = mode_chirp_sums(np.ascontiguousarray(chi_w), z, grid.idx_cut,
-                           m / (2.0 * hbar * tau_flat),
-                           -geometry.fall_height + 0.5 * scales.g
-                           * tau_flat ** 2,
-                           1.0 / tau_flat, scales.g * tau_flat)
+    tau = taumat.ravel()
+    t = tmat.ravel()
+    F, G = grid.fall_sums(basis.scales, geometry, tau, constants)
+    rate = _node_rates(basis, coeff, t, F, G, tau, constants).T  # (K, n_u)
 
-    lam = basis.table.values
     dp = trap.momentum_spread
-    qbar = photodetach.recoil_momentum * np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    dens = np.empty(tau_flat.shape[0])
-    w_time_flat = tau_flat if spec.jacobian == "tau" \
-        else np.repeat(T[None, :], y.shape[0], axis=0).ravel()
-    # at X = 0 the detector azimuth is +-pi/2; cos 2(phi - pol_angle) there
-    cos2phi = math.cos(2.0 * (0.5 * math.pi - pol_angle))
-    chunk = 2048
-    for c0 in range(0, tau_flat.shape[0], chunk):
-        sl = slice(c0, min(c0 + chunk, tau_flat.shape[0]))
-        phase = np.outer(t_flat[sl] / scales.time, lam)
-        ctil = coeff[None, :, :] * (np.cos(phase)
-                                    - 1j * np.sin(phase))[:, None, :]
-        SF = np.einsum("cun,cn->cu", ctil, F[sl])
-        SG = np.einsum("cun,cn->cu", ctil, G[sl])
-        rate = -(m / (2.0 * math.pi * hbar)) / tau_flat[sl][:, None] * (
-            np.real(np.conj(SF) * SG))
-        pbar = m * d / t_flat[sl]
-        kap = np.outer(pbar, qbar) / (dp * dp)
-        gauss = np.exp(-(pbar[:, None] - qbar[None, :]) ** 2
-                       / (2.0 * dp * dp))
-        if photodetach.dipolar:
-            # only harmonics 0 and 2 of the kick azimuth survive the
-            # dipole marginal, so the ring fold closes exactly
-            wmix = (coef_even[None, :] * sps.ive(0, kap)
-                    + cos2phi * coef_cos2[None, :] * sps.ive(2, kap))
-        else:
-            # single kick direction: evaluate the Gaussian ridge at the
-            # detector azimuth (+pi/2 on the Y cut) directly
-            wmix = np.exp(kap * (math.cos(0.5 * math.pi - pol_angle) - 1.0))
-        dens[sl] = ((wu[None, :] * gauss * wmix) * rate).sum(axis=1) \
-            * (m * m / w_time_flat[sl] ** 2) / (2.0 * math.pi * dp * dp)
-    density = dens.reshape(y.shape[0], T.shape[0])
+    qbar = photodetach.recoil_momentum * np.sqrt(
+        np.maximum(0.0, 1.0 - nodes.u ** 2))
+    pbar = m * geometry.travel_distance / t
+    kap = np.outer(pbar, qbar) / (dp * dp)
+    gauss = np.exp(-(pbar[:, None] - qbar[None, :]) ** 2 / (2.0 * dp * dp))
+    # at X = 0 the detector azimuth is +-pi/2
+    if photodetach.dipolar:
+        # only harmonics 0 and 2 of the kick azimuth survive the dipole
+        # marginal, so the ring fold closes exactly
+        cos2phi = math.cos(2.0 * (0.5 * math.pi - nodes.pol_angle))
+        wmix = (nodes.w_even * sps.ive(0, kap)
+                + cos2phi * nodes.w_cos2 * sps.ive(2, kap))
+    else:
+        # single kick direction: evaluate the Gaussian ridge at the
+        # detector azimuth directly
+        wmix = np.exp(kap * (math.cos(0.5 * math.pi - nodes.pol_angle) - 1.0))
+    w_time = tau if spec.jacobian == "tau" \
+        else np.broadcast_to(T[None, :], tmat.shape).ravel()
+    density = ((gauss * wmix * rate).sum(axis=1)
+               * (m * m / w_time ** 2) / (2.0 * math.pi * dp * dp)
+               ).reshape(tmat.shape)
     neg = -density[density < 0.0].sum()
     pos = density[density > 0.0].sum()
-    if clip:
-        density = np.maximum(density, 0.0)
     meta = {"clipped_mass": float(neg / max(pos, 1e-300)),
-            "engine": get_engine(), "n_z": int(z.shape[0])}
-    return DetectorMap(g=scales.g, y=y.copy(), T=T.copy(), density=density,
+            "engine": get_engine(), "n_z": int(grid.xi.shape[0])}
+    return DetectorMap(g=basis.scales.g, y=y.copy(), T=T.copy(),
+                       density=np.maximum(density, 0.0),
                        jacobian=spec.jacobian, metadata=meta)
 
 
@@ -582,40 +525,20 @@ def annihilation_current(basis: GQSBasis, trap: TrapConfig,
     no azimuth folding, no shared lattice and no clipping: the independent
     cross-check for the assembled maps.
     """
-    rbar = math.hypot(x, y)
-    if rbar <= geometry.travel_distance:
-        raise DomainError("detector point must lie beyond the mirror edge")
-    if T <= 0.0:
-        raise DomainError("arrival time must be positive")
-    t = T * geometry.travel_distance / rbar
-    tau = T - t
+    t = time_above_mirror(geometry, math.hypot(x, y), T)
+    tau = np.asarray([T - t])
     m = constants.atom_mass
-    hbar = constants.hbar
-    scales = basis.scales
+    nodes = polar_nodes(photodetach, spec.n_polar)
+    u, wu = nodes.u, nodes.wu
     if photodetach.dipolar:
-        u, wu = np.polynomial.legendre.leggauss(spec.n_polar)
         phi = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
     else:
-        u, wu = np.asarray([photodetach.polarization[2]]), np.ones(1)
-        phi = np.asarray([math.atan2(photodetach.polarization[1],
-                                     photodetach.polarization[0])])
+        phi = np.asarray([nodes.pol_angle])
     coeff = overlap_matrix(basis, geometry.release_height, trap.width,
                            photodetach.recoil_momentum * u)
-    grid = _build_mode_grid(basis, geometry, (tau, tau), spec)
-    z = grid.xi * scales.length
-    chi_w = grid.chi * (grid.wxi * math.sqrt(scales.length))[None, :]
-    F, G = mode_chirp_sums(np.ascontiguousarray(chi_w), z, grid.idx_cut,
-                           np.asarray([m / (2.0 * hbar * tau)]),
-                           np.asarray([-geometry.fall_height
-                                       + 0.5 * scales.g * tau * tau]),
-                           np.asarray([1.0 / tau]),
-                           np.asarray([scales.g * tau]))
-    lam = basis.table.values
-    ph = lam * (t / scales.time)
-    ctil = coeff * (np.cos(ph) - 1j * np.sin(ph))[None, :]
-    SF = ctil @ F[0]
-    SG = ctil @ G[0]
-    rate_u = -(m / (2.0 * math.pi * hbar * tau)) * np.real(np.conj(SF) * SG)
+    grid = _build_mode_grid(basis, geometry, (tau[0], tau[0]), spec)
+    F, G = grid.fall_sums(basis.scales, geometry, tau, constants)
+    rate_u = _node_rates(basis, coeff, t, F, G, tau, constants)[:, 0]
 
     dp = trap.momentum_spread
     pvec = m * np.asarray([x, y]) / T
@@ -634,5 +557,5 @@ def annihilation_current(basis: GQSBasis, trap: TrapConfig,
         else:
             w_dir = np.ones(1)
         total += float((w_dir * gauss).sum() * rate_u[iu])
-    w_time = tau if spec.jacobian == "tau" else T
+    w_time = tau[0] if spec.jacobian == "tau" else T
     return total * (m * m / (w_time * w_time))

@@ -26,7 +26,8 @@ from .airy import (AiryZeroTable, Z_MAX_PAD, airy_zeros, eigenfunction_matrix,
 from .errors import DomainError
 from .physcore import (CONSTANTS, G_DEFAULT, GravScales, PhysicalConstants,
                        derive_scales)
-from .source import PhotodetachConfig, TrapConfig, polar_marginal
+from .source import (DEFAULT_POLAR_NODES, PhotodetachConfig, TrapConfig,
+                     polar_nodes)
 
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
 PANEL_ORDER = 12
@@ -128,12 +129,6 @@ def overlap_matrix(basis: GQSBasis, height: float, width: float,
     return (psi * w[None, :]) @ chi.T / math.sqrt(scales.length)
 
 
-def overlap_coefficients(basis: GQSBasis, height: float, width: float,
-                         q_z: float = 0.0, **kw) -> np.ndarray:
-    """Coefficients c_n for a single vertical kick, shape (n_max,)."""
-    return overlap_matrix(basis, height, width, [q_z], **kw)[0]
-
-
 @dataclass(frozen=True)
 class TransmissionResult:
     """Recoil-averaged retained probability and its per-direction breakdown."""
@@ -152,15 +147,13 @@ class TransmissionResult:
 
 def transmitted_fraction(basis: GQSBasis, trap: TrapConfig,
                          photodetach: PhotodetachConfig, height: float,
-                         n_polar: int | None = None) -> TransmissionResult:
+                         n_polar: int = DEFAULT_POLAR_NODES
+                         ) -> TransmissionResult:
     """Average the retained probability over the vertical recoil projection."""
-    if n_polar is None:
-        u, wu = polar_marginal(photodetach)
-    else:
-        u, wu = polar_marginal(photodetach, n_polar)
-    qz = photodetach.recoil_momentum * u
-    coeff = overlap_matrix(basis, height, trap.width, qz)
+    nodes = polar_nodes(photodetach, n_polar)
+    coeff = overlap_matrix(basis, height, trap.width,
+                           photodetach.recoil_momentum * nodes.u)
     retained = np.sum(np.abs(coeff) ** 2, axis=1)
-    return TransmissionResult(fraction=float(wu @ retained),
-                              node_u=u, node_weight=wu,
+    return TransmissionResult(fraction=float(nodes.w_even @ retained),
+                              node_u=nodes.u, node_weight=nodes.w_even,
                               node_retained=retained, n_max=basis.n_max)

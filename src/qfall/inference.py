@@ -230,9 +230,6 @@ class GridDensityFamily:
             self._cache[g] = fmap
         return fmap
 
-    def clear(self):
-        self._cache.clear()
-
 
 def _scan_lattice(g_center: float, rel_window: float,
                   n_scan: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import momentum_matrix
 from .errors import DomainError
 from .gqs import GQSBasis
 
@@ -51,19 +50,14 @@ def time_above_mirror(geometry: DiskGeometry, radial_distance, total_time):
 
 
 def evolve_to_end_of_disk(basis: GQSBasis, coefficients: np.ndarray,
-                          t: float) -> np.ndarray:
-    """Apply the mode phases accumulated during a time t above the mirror."""
-    if t < 0.0:
+                          t) -> np.ndarray:
+    """Apply the mode phases accumulated during a time t above the mirror.
+
+    The phase exp(-i lambda_n t / t_g) runs along the last axis of
+    `coefficients`; an array t broadcasts against it (a column of times
+    phases one row each).
+    """
+    if np.any(np.less(t, 0.0)):
         raise DomainError("time above the mirror must be nonnegative")
     phase = basis.table.values * (t / basis.scales.time)
     return coefficients * (np.cos(phase) - 1j * np.sin(phase))
-
-
-def momentum_distribution_end(basis: GQSBasis, coefficients: np.ndarray,
-                              t: float, momenta, samples: float = 12.0):
-    """Vertical momentum density |psi~(p)|^2 at the end of the disk."""
-    evolved = evolve_to_end_of_disk(basis, coefficients, t)
-    mat = momentum_matrix(basis.table, np.asarray(momenta, dtype=float),
-                          basis.scales, samples=samples)
-    amp = evolved @ mat
-    return np.abs(amp) ** 2

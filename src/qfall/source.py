@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .physcore import CONSTANTS, PhysicalConstants
 
 DEFAULT_POLAR_NODES = 24
@@ -135,64 +135,54 @@ def recoil_quadrature(photodetach: PhotodetachConfig,
     return RecoilQuadrature(directions=dirs, weights=w)
 
 
-def polar_marginal(photodetach: PhotodetachConfig,
-                   n_polar: int = DEFAULT_POLAR_NODES):
-    """Azimuth-integrated node set (u_i, W_i) for the vertical projection.
+@dataclass(frozen=True)
+class PolarNodes:
+    """Azimuth-integrated recoil nodes for the vertical projection.
 
-    Integrating the dipole law over azimuth leaves the polar density
-    (3/4) [(1 - n_z^2)(1 - u^2) + 2 n_z^2 u^2] with u = cos(theta) and n_z the
-    vertical component of the polarization; the deterministic-kick variant
-    degenerates to its single node.
+    u is cos(theta) of the kick, or n_z for the deterministic kick; w_even
+    and w_cos2 are the node weights of the azimuth-even and cos 2(phi -
+    pol_angle) parts of the dipole law, with pol_angle the azimuth of the
+    polarization.
     """
+
+    u: np.ndarray
+    wu: np.ndarray      # bare Gauss-Legendre weights
+    w_even: np.ndarray
+    w_cos2: np.ndarray
+    pol_angle: float
+
+
+def polar_nodes(photodetach: PhotodetachConfig,
+                n_polar: int = DEFAULT_POLAR_NODES,
+                folded: bool = False) -> PolarNodes:
+    """Gauss-Legendre nodes in u = cos(theta) with the dipole law folded in.
+
+    Integrating 3 (qhat . nhat)^2 / (4 pi) over azimuth leaves the even part
+    (3/4) [(1 - n_z^2)(1 - u^2) + 2 n_z^2 u^2] and, for a polarization in
+    the horizontal plane, the second harmonic (3/4) (1 - n_z^2)(1 - u^2).
+    `folded` demands a polarization for which these two harmonics close the
+    azimuth integral: in the detector plane or vertical.
+    """
+    pol = photodetach.polarization
+    nz2 = pol[2] ** 2
+    pol_angle = float(math.atan2(pol[1], pol[0])) if (1.0 - nz2) > 1e-24 \
+        else 0.0
     if not photodetach.dipolar:
-        return (np.asarray([photodetach.polarization[2]]), np.ones(1))
+        # deterministic kick: one direction, unit angular weight; the
+        # azimuth structure lives entirely in the Gaussian ridge
+        one = np.ones(1)
+        return PolarNodes(u=np.asarray([pol[2]]), wu=one, w_even=one,
+                          w_cos2=np.zeros(1), pol_angle=pol_angle)
+    if folded and not (abs(pol[2]) < 1e-12 or abs(pol[2]) > 1.0 - 1e-12):
+        raise ConfigError("folded maps and detector cuts support polarization "
+                          "either in the detector plane or vertical")
     if n_polar < 2:
         raise DomainError("need at least 2 polar nodes")
     u, wu = np.polynomial.legendre.leggauss(int(n_polar))
-    nz2 = photodetach.polarization[2] ** 2
-    rho = 0.75 * ((1.0 - nz2) * (1.0 - u ** 2) + 2.0 * nz2 * u ** 2)
-    return u, rho * wu
-
-
-@dataclass(frozen=True)
-class FactoredState:
-    """Post-detachment pure state for one recoil direction (SI).
-
-    vertical:  psi0(z) = (2 pi zeta^2)^(-1/4) exp(-(z-h)^2/(4 zeta^2)
-                                                 + i q_z (z-h)/hbar)
-    horizontal: Gaussian momentum density centred on (q_x, q_y), width delta_p.
-    """
-
-    height: float
-    width: float
-    momentum_spread: float
-    kick: tuple  # (q_x, q_y, q_z) SI momentum
-
-    def vertical(self, z):
-        z = np.asarray(z, dtype=float)
-        dz = z - self.height
-        amp = (2.0 * math.pi * self.width ** 2) ** (-0.25)
-        return amp * np.exp(-dz ** 2 / (4.0 * self.width ** 2)
-                            + 1j * self.kick[2] * dz / CONSTANTS.hbar)
-
-    def horizontal_momentum_density(self, px, py):
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        dp2 = self.momentum_spread ** 2
-        arg = ((px - self.kick[0]) ** 2 + (py - self.kick[1]) ** 2) / (2.0 * dp2)
-        return np.exp(-arg) / (2.0 * math.pi * dp2)
-
-
-def initial_wavefunction(trap: TrapConfig, height: float, kick) -> FactoredState:
-    """Factored state for a release height and an SI momentum kick vector."""
-    if height <= 0.0:
-        raise DomainError("release height must be positive")
-    kick = np.asarray(kick, dtype=float)
-    if kick.shape != (3,):
-        raise DomainError("kick must be a 3-vector of SI momenta")
-    return FactoredState(height=height, width=trap.width,
-                         momentum_spread=trap.momentum_spread,
-                         kick=tuple(kick))
+    coef_even = 0.75 * ((1.0 - nz2) * (1.0 - u ** 2) + 2.0 * nz2 * u ** 2)
+    coef_cos2 = 0.75 * (1.0 - nz2) * (1.0 - u ** 2)
+    return PolarNodes(u=u, wu=wu, w_even=wu * coef_even,
+                      w_cos2=wu * coef_cos2, pol_angle=pol_angle)
 
 
 def velocity_distribution(trap: TrapConfig, photodetach: PhotodetachConfig,

@@ -3,14 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sps
 from scipy.integrate import quad
 
-from qfall.airy import (AiryZeroTable, airy_ai, airy_ai_prime, airy_zero_guess,
-                        airy_zeros, eigenfunction, eigenfunction_matrix,
-                        eigenfunction_momentum, load_zero_table, mode_energy,
-                        momentum_matrix, save_zero_table, support_cut)
+from qfall.airy import (AiryZeroTable, airy_zero_guess, airy_zeros,
+                        eigenfunction, eigenfunction_matrix,
+                        eigenfunction_momentum, momentum_matrix, support_cut)
 from qfall.errors import DomainError
-from qfall.physcore import CONSTANTS, derive_scales
+from qfall.physcore import derive_scales
 
 SCALES = derive_scales(9.81)
 
@@ -41,29 +41,37 @@ def oracle_zeros():
 
 
 def test_airy_value_at_origin_power_series():
-    # frozen power-series anchors: Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3)
+    # frozen power-series anchor Ai(0) = 3^(-2/3)/Gamma(2/3): the mode row
+    # at xi = lam_n is Ai(0) / Ai'(-lam_n)
     ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-    aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-    assert airy_ai(0.0) == pytest.approx(ai0, rel=1e-14)
-    assert airy_ai_prime(0.0) == pytest.approx(aip0, rel=1e-14)
+    table = airy_zeros(5)
+    for n in (1, 5):
+        row = eigenfunction_matrix(table, np.asarray([table.lam(n)]))[n - 1]
+        assert row[0] * table.ai_prime[n - 1] == pytest.approx(ai0, rel=1e-14)
 
 
 def test_airy_against_high_precision_grid():
+    # the mode rows Ai(xi - lam_n) / Ai'(-lam_n) and the normalization
+    # values Ai'(-lam_n) against 30-digit mpmath at the same float arguments
     mpmath.mp.dps = 30
+    table = airy_zeros(100)
+    lam = table.values[-1]
     xs = np.concatenate([np.linspace(-50, 4, 41), np.linspace(4, 50, 13)])
-    ref = np.array([float(mpmath.airyai(x)) for x in xs])
-    refp = np.array([float(mpmath.airyai(x, 1)) for x in xs])
-    got, gotp = airy_ai(xs), airy_ai_prime(xs)
+    xi = xs + lam
+    ref = np.array([float(mpmath.airyai(x)) for x in xi - lam])
+    got = eigenfunction_matrix(table, xi)[-1] * table.ai_prime[-1]
     scale = np.maximum(np.abs(ref), 1e-300)
     assert np.max(np.abs(got - ref) / scale) < 1e-10
-    assert np.max(np.abs(gotp - refp) / np.maximum(np.abs(refp), 1e-300)) < 1e-10
+    refp = np.array([float(mpmath.airyai(-x, 1)) for x in table.values])
+    assert np.max(np.abs(table.ai_prime - refp) / np.abs(refp)) < 1e-10
 
 
 def test_nan_arguments_rejected():
+    table = airy_zeros(2)
     with pytest.raises(DomainError):
-        airy_ai(np.nan)
+        eigenfunction_matrix(table, np.nan)
     with pytest.raises(DomainError):
-        airy_ai_prime(np.array([0.0, np.nan]))
+        eigenfunction_matrix(table, np.array([0.0, np.nan]))
 
 
 def test_zero_table_against_bisection_oracle(oracle_zeros):
@@ -97,26 +105,13 @@ def test_zero_table_validation_and_index():
         AiryZeroTable(3, np.array([2.0, 1.0, 3.0]), np.ones(3))
 
 
-def test_zero_table_file_round_trip(tmp_path):
-    table = airy_zeros(50)
-    path = tmp_path / "zeros.txt"
-    save_zero_table(path, table)
-    loaded = load_zero_table(path)
-    np.testing.assert_allclose(loaded.values, table.values, rtol=1e-14)
-    # a corrupted (non-monotone) file must be rejected
-    lines = path.read_text().splitlines()
-    lines[2], lines[3] = lines[3], lines[2]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DomainError):
-        load_zero_table(path)
-
-
 @pytest.mark.parametrize("n", [1, 2, 5, 20])
 def test_eigenfunction_normalized(n):
     table = airy_zeros(20)
     lam = table.lam(n)
     # dimensionless norm integral against adaptive quadrature
-    val, err = quad(lambda x: airy_ai(x - lam) ** 2 / table.ai_prime[n - 1] ** 2,
+    val, err = quad(lambda x: sps.airy(x - lam)[0] ** 2
+                    / table.ai_prime[n - 1] ** 2,
                     0.0, lam + 15.0, limit=400)
     assert val == pytest.approx(1.0, abs=2e-8)
 
@@ -144,8 +139,9 @@ def test_eigenfunction_solves_schroedinger():
         lam = table.lam(n)
         h = 1e-3
         xi = np.arange(h, lam, h)
-        a = airy_ai(xi - lam)
-        lap = (airy_ai(xi - lam + h) + airy_ai(xi - lam - h) - 2 * a) / h ** 2
+        a = eigenfunction_matrix(table, xi)[n - 1]
+        lap = (eigenfunction_matrix(table, xi + h)[n - 1]
+               + eigenfunction_matrix(table, xi - h)[n - 1] - 2 * a) / h ** 2
         resid = lap - (xi - lam) * a
         assert np.linalg.norm(resid) / np.linalg.norm((xi - lam) * a) < 1e-4
 
@@ -158,7 +154,6 @@ def test_eigenfunction_si_properties():
     # SI normalization on a fine trapezoid
     norm = np.trapezoid(chi ** 2, z)
     assert norm == pytest.approx(1.0, abs=1e-5)
-    assert mode_energy(1, table, SCALES) == pytest.approx(table.lam(1) * SCALES.energy, rel=1e-15)
     cut = support_cut(1, table, SCALES)
     tail = eigenfunction(1, np.array([cut]), table, SCALES)[0]
     assert abs(tail) < 1e-10 * np.max(np.abs(chi))

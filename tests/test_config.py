@@ -97,6 +97,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="likelihood"):
             parse_config("inference.likelihood = profile")
 
+    def test_scan_count_checked_before_compute(self):
+        assert parse_config("inference.n_scan = 5").n_scan == 5
+        for bad in ("4", "3", "0", "42"):
+            with pytest.raises(ConfigError, match="n_scan"):
+                parse_config("inference.n_scan = %s" % bad)
+
     def test_polarization_forms(self):
         assert parse_config("source.polarization = z").polarization == (
             0.0, 0.0, 1.0)

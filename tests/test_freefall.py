@@ -12,15 +12,15 @@ import pytest
 import qfall.kernels as kernels
 from qfall.airy import eigenfunction, momentum_matrix
 from qfall.errors import ConfigError, DomainError
-from qfall.freefall import (GridSpec, MapMaker, annihilation_current,
-                            build_folded_map, current_map_yt, detection_rate,
-                            fall_windows, grid_axes, make_context,
-                            plane_current, propagate_profile,
-                            propagator_kernel)
-from qfall.gqs import build_basis
+from qfall.freefall import (GridSpec, MapMaker, _build_mode_grid, _node_rates,
+                            annihilation_current, build_folded_map,
+                            current_map_yt, detection_rate, fall_windows,
+                            grid_axes, make_context, plane_current,
+                            propagate_profile, propagator_kernel)
+from qfall.gqs import build_basis, overlap_matrix
 from qfall.mirror import DiskGeometry
 from qfall.physcore import CONSTANTS
-from qfall.source import build_photodetach, build_trap
+from qfall.source import build_photodetach, build_trap, polar_nodes
 
 EV = 1.602176634e-19
 GEO = DiskGeometry(release_height=10e-6, travel_distance=0.05,
@@ -257,13 +257,33 @@ class TestFoldedMap:
         assert fm.total_weight() == pytest.approx(fm.metadata["fraction"],
                                                   abs=1e-2)
 
-    def test_tilted_polarization_rejected(self, trap):
-        tilted = build_photodetach(10e-6 * EV, polarization=(0.0, 1.0, 1.0))
-        with pytest.raises(ConfigError):
-            build_folded_map(N_DESK, trap, tilted, GEO)
+    def test_tilted_polarization_rejected(self, basis, trap):
+        # the folded map and the detector cut share one tilt check, so a
+        # barely tilted polarization fails on both paths
+        for pol in ((0.0, 1.0, 1.0), (0.0, 1.0, 1e-7)):
+            tilted = build_photodetach(10e-6 * EV, polarization=pol)
+            with pytest.raises(ConfigError):
+                MapMaker(N_DESK, trap, tilted, GEO)
+            with pytest.raises(ConfigError):
+                current_map_yt(basis, trap, tilted, GEO, [0.3], [0.3])
 
 
 class TestDetectorCut:
+    def test_rate_contraction_orders_agree(self, basis, trap, recoil):
+        # one edge time per row must give what one shared edge time gives
+        nodes = polar_nodes(recoil)
+        coeff = overlap_matrix(basis, GEO.release_height, trap.width,
+                               recoil.recoil_momentum * nodes.u)
+        tau = np.linspace(0.24, 0.25, 40)
+        grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
+        F, G = grid.fall_sums(basis.scales, GEO, tau, CONSTANTS)
+        t = 0.049
+        shared = _node_rates(basis, coeff, t, F, G, tau, CONSTANTS)
+        per_row = _node_rates(basis, coeff, np.full(tau.shape, t), F, G, tau,
+                              CONSTANTS)
+        assert shared.shape == per_row.shape == (nodes.u.shape[0], 40)
+        assert np.abs(per_row - shared).max() < 1e-13 * np.abs(shared).max()
+
     def test_matches_brute_force(self, basis, trap, recoil):
         y = np.linspace(0.27, 0.34, 15)
         T = np.linspace(0.285, 0.305, 21)

@@ -22,8 +22,7 @@ import scipy.special as sps
 
 from qfall.errors import DomainError
 from qfall.gqs import (build_basis, classical_cutoff_velocity,
-                       overlap_coefficients, overlap_matrix,
-                       transmitted_fraction)
+                       overlap_matrix, transmitted_fraction)
 from qfall.physcore import CONSTANTS
 from qfall.source import build_photodetach, build_trap
 
@@ -64,7 +63,7 @@ class TestOverlapCoefficients:
     @pytest.mark.parametrize("qz_frac", [0.0, 0.1, -0.1, 0.17])
     def test_matches_closed_form(self, basis, trap, recoil, qz_frac):
         qz = qz_frac * recoil.recoil_momentum
-        c = overlap_coefficients(basis, HEIGHT, trap.width, qz)
+        c = overlap_matrix(basis, HEIGHT, trap.width, [qz])[0]
         o = closed_form_overlap(basis, HEIGHT, trap.width, qz)
         mask = np.abs(o) > 1e-3 * np.abs(o).max()
         assert mask.sum() > 10
@@ -72,34 +71,34 @@ class TestOverlapCoefficients:
         assert rel.max() < 1e-3
 
     def test_zero_kick_is_real(self, basis, trap):
-        c = overlap_coefficients(basis, HEIGHT, trap.width, 0.0)
+        c = overlap_matrix(basis, HEIGHT, trap.width, [0.0])[0]
         assert np.abs(c.imag).max() < 1e-12 * np.abs(c.real).max()
 
     def test_conjugate_parity(self, basis, trap, recoil):
         qz = 0.08 * recoil.recoil_momentum
-        plus = overlap_coefficients(basis, HEIGHT, trap.width, qz)
-        minus = overlap_coefficients(basis, HEIGHT, trap.width, -qz)
+        plus = overlap_matrix(basis, HEIGHT, trap.width, [qz])[0]
+        minus = overlap_matrix(basis, HEIGHT, trap.width, [-qz])[0]
         assert minus == pytest.approx(np.conj(plus), rel=1e-12)
 
     def test_retained_probability_bounded(self, basis, trap, recoil):
         for frac in (0.0, 0.3, 1.0):
-            c = overlap_coefficients(basis, HEIGHT, trap.width,
-                                     frac * recoil.recoil_momentum)
+            c = overlap_matrix(basis, HEIGHT, trap.width,
+                               [frac * recoil.recoil_momentum])[0]
             assert np.sum(np.abs(c) ** 2) <= 1.0 + 1e-9
 
     def test_retained_monotone_in_n_max(self, trap):
         sums = []
         for nm in (200, 400, 800):
             b = build_basis(nm)
-            c = overlap_coefficients(b, HEIGHT, trap.width, 0.0)
+            c = overlap_matrix(b, HEIGHT, trap.width, [0.0])[0]
             sums.append(np.sum(np.abs(c) ** 2))
         assert sums[0] <= sums[1] + 1e-12
         assert sums[1] <= sums[2] + 1e-12
 
     def test_panel_refinement_converged(self, basis, trap, recoil):
         qz = 0.1 * recoil.recoil_momentum
-        base = overlap_coefficients(basis, HEIGHT, trap.width, qz)
-        fine = overlap_coefficients(basis, HEIGHT, trap.width, qz, phase=1.0)
+        base = overlap_matrix(basis, HEIGHT, trap.width, [qz])[0]
+        fine = overlap_matrix(basis, HEIGHT, trap.width, [qz], phase=1.0)[0]
         scale = np.abs(base).max()
         assert np.abs(base - fine).max() < 1e-9 * scale
 
@@ -107,15 +106,15 @@ class TestOverlapCoefficients:
         qz = recoil.recoil_momentum * np.asarray([-0.2, 0.0, 0.35])
         mat = overlap_matrix(basis, HEIGHT, trap.width, qz)
         for k, q in enumerate(qz):
-            single = overlap_coefficients(basis, HEIGHT, trap.width, float(q))
+            single = overlap_matrix(basis, HEIGHT, trap.width, [q])[0]
             # single calls size their panel grid from their own |q_z|
             assert mat[k] == pytest.approx(single, abs=1e-9 * np.abs(single).max())
 
     def test_invalid_inputs(self, basis, trap):
         with pytest.raises(DomainError):
-            overlap_coefficients(basis, -1e-6, trap.width, 0.0)
+            overlap_matrix(basis, -1e-6, trap.width, [0.0])
         with pytest.raises(DomainError):
-            overlap_coefficients(basis, HEIGHT, 0.0, 0.0)
+            overlap_matrix(basis, HEIGHT, 0.0, [0.0])
 
 
 class TestCompleteness:
@@ -125,14 +124,14 @@ class TestCompleteness:
         dv = trap.velocity_spread
         for nm, tol in ((1000, 1e-3), (2000, 1e-3)):
             b = build_basis(nm)
-            c = overlap_coefficients(b, HEIGHT, trap.width, 0.0)
+            c = overlap_matrix(b, HEIGHT, trap.width, [0.0])[0]
             got = np.sum(np.abs(c) ** 2)
             vab = classical_cutoff_velocity(b, HEIGHT)
             want = math.erf(vab / (math.sqrt(2.0) * dv))
             assert got == pytest.approx(want, abs=tol)
 
     def test_reference_retained_value(self, basis, trap):
-        c = overlap_coefficients(basis, HEIGHT, trap.width, 0.0)
+        c = overlap_matrix(basis, HEIGHT, trap.width, [0.0])[0]
         assert np.sum(np.abs(c) ** 2) == pytest.approx(0.9954, abs=5e-4)
 
 

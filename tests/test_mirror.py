@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from qfall.airy import momentum_matrix
 from qfall.errors import DomainError
-from qfall.gqs import build_basis, overlap_coefficients
-from qfall.mirror import (DiskGeometry, evolve_to_end_of_disk,
-                          momentum_distribution_end, time_above_mirror)
+from qfall.gqs import build_basis, overlap_matrix
+from qfall.mirror import DiskGeometry, evolve_to_end_of_disk, time_above_mirror
 from qfall.source import build_trap
 
 GEOMETRY = DiskGeometry(release_height=10e-6, travel_distance=0.05,
@@ -23,7 +23,14 @@ def basis():
 @pytest.fixture(scope="module")
 def coeffs(basis):
     trap = build_trap(20e3)
-    return overlap_coefficients(basis, GEOMETRY.release_height, trap.width, 0.0)
+    return overlap_matrix(basis, GEOMETRY.release_height, trap.width, [0.0])[0]
+
+
+def momentum_density_end(basis, coefficients, t, momenta):
+    """|psi~(p)|^2 of the state evolved over a time t above the disk."""
+    amp = evolve_to_end_of_disk(basis, coefficients, t) @ momentum_matrix(
+        basis.table, momenta, basis.scales)
+    return np.abs(amp) ** 2
 
 
 class TestGeometry:
@@ -66,9 +73,19 @@ class TestEvolution:
         out = evolve_to_end_of_disk(basis, c, period)
         assert out[3] / out[0] == pytest.approx(ratio0, rel=1e-12)
 
+    def test_column_of_times_phases_rows(self, basis, coeffs):
+        t = np.asarray([0.0, 0.02, 0.049])
+        rows = evolve_to_end_of_disk(basis, np.tile(coeffs, (3, 1)),
+                                     t[:, None])
+        for k in range(3):
+            assert np.array_equal(rows[k],
+                                  evolve_to_end_of_disk(basis, coeffs, t[k]))
+
     def test_negative_time_rejected(self, basis, coeffs):
         with pytest.raises(DomainError):
             evolve_to_end_of_disk(basis, coeffs, -1e-3)
+        with pytest.raises(DomainError):
+            evolve_to_end_of_disk(basis, coeffs, np.asarray([[0.1], [-1e-3]]))
 
 
 class TestMomentumDensity:
@@ -76,7 +93,7 @@ class TestMomentumDensity:
         # the vertical momentum marginal integrates to the retained weight
         pg = basis.scales.momentum
         p = np.linspace(-15 * pg, 15 * pg, 1501)
-        rho = momentum_distribution_end(basis, coeffs, 0.049007, p)
+        rho = momentum_density_end(basis, coeffs, 0.049007, p)
         total = np.trapezoid(rho, p)
         assert total == pytest.approx(np.sum(np.abs(coeffs) ** 2), abs=1e-4)
 
@@ -85,8 +102,8 @@ class TestMomentumDensity:
         c[4] = 1.0
         pg = basis.scales.momentum
         p = np.linspace(-10 * pg, 10 * pg, 401)
-        a = momentum_distribution_end(basis, c, 0.0, p)
-        b = momentum_distribution_end(basis, c, 0.0123, p)
+        a = momentum_density_end(basis, c, 0.0, p)
+        b = momentum_density_end(basis, c, 0.0123, p)
         assert b == pytest.approx(a, rel=1e-10)
 
     def test_interference_fringes(self, basis, coeffs):
@@ -94,12 +111,12 @@ class TestMomentumDensity:
         # window is deeply modulated
         pg = basis.scales.momentum
         p = np.linspace(-8 * pg, 8 * pg, 1201)
-        rho = momentum_distribution_end(basis, coeffs, 0.049007, p)
+        rho = momentum_density_end(basis, coeffs, 0.049007, p)
         contrast = (rho.max() - rho.min()) / (rho.max() + rho.min())
         assert contrast > 0.1
 
     def test_density_nonnegative(self, basis, coeffs):
         pg = basis.scales.momentum
         p = np.linspace(-12 * pg, 12 * pg, 601)
-        rho = momentum_distribution_end(basis, coeffs, 0.02, p)
+        rho = momentum_density_end(basis, coeffs, 0.02, p)
         assert rho.min() >= 0.0

@@ -7,9 +7,8 @@ import pytest
 
 from qfall.errors import DomainError
 from qfall.physcore import CONSTANTS
-from qfall.source import (build_photodetach, build_trap, initial_wavefunction,
-                          polar_marginal, recoil_quadrature,
-                          velocity_distribution)
+from qfall.source import (build_photodetach, build_trap, polar_nodes,
+                          recoil_quadrature, velocity_distribution)
 
 EV = 1.602176634e-19
 
@@ -120,28 +119,47 @@ class TestPolarMarginal:
         # the analytic azimuth integral
         n_polar, n_azimuth = 24, 16
         quad = recoil_quadrature(recoil, n_polar, n_azimuth)
-        u, wm = polar_marginal(recoil, n_polar)
+        nodes = polar_nodes(recoil, n_polar)
+        u, wm = nodes.u, nodes.w_even
         grouped = quad.weights.reshape(n_polar, n_azimuth).sum(axis=1)
         assert grouped == pytest.approx(wm, abs=1e-15)
         assert np.repeat(u, n_azimuth) == pytest.approx(quad.directions[:, 2],
                                                         abs=1e-14)
 
     def test_normalized(self, recoil):
-        _, wm = polar_marginal(recoil)
+        wm = polar_nodes(recoil).w_even
         assert np.sum(wm) == pytest.approx(1.0, abs=1e-13)
 
     def test_vertical_polarization_shape(self):
         # for nhat = zhat the polar density is (3/2) u^2
         pd = build_photodetach(10e-6 * EV, polarization=(0.0, 0.0, 1.0))
-        u, wm = polar_marginal(pd, 40)
+        nodes = polar_nodes(pd, 40)
         _, wu = np.polynomial.legendre.leggauss(40)
-        assert wm == pytest.approx(1.5 * u ** 2 * wu, abs=1e-15)
+        assert nodes.w_even == pytest.approx(1.5 * nodes.u ** 2 * wu,
+                                             abs=1e-15)
 
     def test_kick_degenerates(self):
         pd = build_photodetach(0.0, kick_velocity=0.3, polarization=(1.0, 0.0, 0.0))
-        u, wm = polar_marginal(pd)
-        assert u.shape == (1,) and wm[0] == pytest.approx(1.0)
-        assert u[0] == pytest.approx(0.0, abs=1e-15)
+        nodes = polar_nodes(pd)
+        assert nodes.u.shape == (1,) and nodes.w_even[0] == pytest.approx(1.0)
+        assert nodes.u[0] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("pol", [(1.0, 0.0, 0.0), (1.0, 1.0, 0.0),
+                                     (0.0, 0.0, 1.0)])
+    def test_second_harmonic_matches_quadrature(self, pol):
+        # the density over the kick azimuth at fixed u is
+        # w_even + w_cos2 cos 2(phi - pol_angle), so twice the cos 2
+        # moment of the full product rule must give w_cos2
+        n_polar, n_azimuth = 24, 16
+        pd = build_photodetach(10e-6 * EV, polarization=pol)
+        nodes = polar_nodes(pd, n_polar, folded=True)
+        quad = recoil_quadrature(pd, n_polar, n_azimuth)
+        phi = np.arctan2(quad.directions[:, 1], quad.directions[:, 0])
+        moment = (quad.weights * np.cos(2.0 * (phi - nodes.pol_angle))
+                  ).reshape(n_polar, n_azimuth).sum(axis=1)
+        assert 2.0 * moment == pytest.approx(nodes.w_cos2, abs=1e-15)
+        assert nodes.pol_angle == pytest.approx(
+            math.atan2(pol[1], pol[0]), abs=1e-15)
 
 
 class TestVelocityDistribution:
@@ -191,39 +209,3 @@ class TestVelocityDistribution:
         d2 = v[0] ** 2 + (v[1] - 0.8) ** 2 + v[2] ** 2
         want = (2 * math.pi * dv * dv) ** -1.5 * math.exp(-d2 / (2 * dv * dv))
         assert got == pytest.approx(want, rel=1e-12)
-
-
-class TestFactoredState:
-    def test_vertical_norm_and_center(self, trap):
-        q = np.asarray([0.0, 0.0, 0.4 * CONSTANTS.atom_mass])
-        st = initial_wavefunction(trap, 3.0e-6, q)
-        z = np.linspace(3.0e-6 - 10 * trap.width, 3.0e-6 + 10 * trap.width, 4001)
-        psi = st.vertical(z)
-        dens = np.abs(psi) ** 2
-        assert np.trapezoid(dens, z) == pytest.approx(1.0, abs=1e-8)
-        assert np.trapezoid(z * dens, z) == pytest.approx(3.0e-6, rel=1e-8)
-
-    def test_vertical_momentum_expectation(self, trap):
-        qz = 0.7 * CONSTANTS.hbar / trap.width
-        st = initial_wavefunction(trap, 3.0e-6, np.asarray([0.0, 0.0, qz]))
-        z = np.linspace(3.0e-6 - 12 * trap.width, 3.0e-6 + 12 * trap.width, 8001)
-        psi = st.vertical(z)
-        grad = np.gradient(psi, z)
-        pexp = np.trapezoid(np.conj(psi) * (-1j * CONSTANTS.hbar) * grad, z)
-        assert pexp.real == pytest.approx(qz, rel=1e-6)
-        assert abs(pexp.imag) < 1e-6 * qz
-
-    def test_horizontal_density_normalized(self, trap):
-        st = initial_wavefunction(trap, 3.0e-6,
-                                  np.asarray([0.3, -0.2, 0.0]) * trap.momentum_spread)
-        lim = 8.0 * trap.momentum_spread
-        ax = np.linspace(-lim, lim, 401)
-        px, py = np.meshgrid(ax + st.kick[0], ax + st.kick[1],
-                             indexing="ij", sparse=True)
-        dens = st.horizontal_momentum_density(px, py)
-        total = np.trapezoid(np.trapezoid(dens, ax), ax)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_invalid_height(self, trap):
-        with pytest.raises(DomainError):
-            initial_wavefunction(trap, -1e-6, np.zeros(3))
