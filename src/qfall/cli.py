@@ -21,8 +21,7 @@ from . import __version__, kernels
 from .config import (RunConfig, build_components, config_dict, config_hash,
                      resolve_config)
 from .freefall import current_map_yt, fall_windows
-from .gqs import (build_basis, classical_cutoff_velocity, overlap_matrix,
-                  transmitted_fraction)
+from .gqs import build_basis, classical_cutoff_velocity, overlap_matrix
 from .inference import (EventSet, GridDensityFamily, count_information,
                         cramer_rao_sigma, estimate_g, fisher_information,
                         replicate_rng, run_campaign, sample_events)
@@ -101,8 +100,20 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _family(cfg: RunConfig) -> GridDensityFamily:
+def _folded_components(cfg: RunConfig):
+    """Components of the commands that fold the detector azimuth.
+
+    Folded maps and detector cuts need the polarization in the detector
+    plane or vertical; this checks it before any compute (`end-of-mirror`
+    and `source-dist` take any direction).
+    """
     trap, pd, geom, spec = build_components(cfg)
+    polar_nodes(pd, spec.n_polar, folded=True)
+    return trap, pd, geom, spec
+
+
+def _family(cfg: RunConfig) -> GridDensityFamily:
+    trap, pd, geom, spec = _folded_components(cfg)
     return GridDensityFamily(cfg.n_max, trap, pd, geom, spec, g0=cfg.g)
 
 
@@ -151,17 +162,18 @@ def _cmd_end_of_mirror(cfg, args, out_dir):
     nodes = polar_nodes(pd, cfg.n_polar)
     coeff = overlap_matrix(basis, geom.release_height, trap.width,
                            pd.recoil_momentum * nodes.u)
-    populations = nodes.w_even @ (np.abs(coeff) ** 2)
+    prob = np.abs(coeff) ** 2
+    populations = nodes.w_even @ prob
+    # the same operations as gqs.transmitted_fraction, on the same matrix
+    fraction = float(nodes.w_even @ prob.sum(axis=1))
     n = np.arange(1, cfg.n_max + 1)
     _write_csv(os.path.join(out_dir, "end_of_mirror.csv"),
                {"g_mps2": "%.17g" % cfg.g,
                 "release_height_m": "%.17g" % geom.release_height},
                ["n", "lambda_n", "population"],
                [n, basis.table.values, populations])
-    result = transmitted_fraction(basis, trap, pd, geom.release_height,
-                                  cfg.n_polar)
-    data = {"fraction": result.fraction,
-            "expected_count": result.expected_count(cfg.n_source),
+    data = {"fraction": fraction,
+            "expected_count": int(round(cfg.n_source * fraction)),
             "n_source": cfg.n_source,
             "cutoff_velocity_mps": classical_cutoff_velocity(
                 basis, geom.release_height)}
@@ -171,7 +183,7 @@ def _cmd_end_of_mirror(cfg, args, out_dir):
 
 
 def _cmd_current_map(cfg, args, out_dir):
-    trap, pd, geom, spec = build_components(cfg)
+    trap, pd, geom, spec = _folded_components(cfg)
     basis = build_basis(cfg.n_max, cfg.g)
     win = fall_windows(basis, trap, pd, geom, spec)
     T_lo = args.T_min if args.T_min is not None else (
@@ -245,16 +257,16 @@ def _cmd_estimate(cfg, args, out_dir):
 
 def _cmd_fisher(cfg, args, out_dir):
     fam = _family(cfg)
-    info = fisher_information(fam, delta_rel=cfg.delta_rel)
-    extra = count_information(fam, delta_rel=cfg.delta_rel)
+    info = fisher_information(fam, rel_window=cfg.rel_window)
+    extra = count_information(fam, rel_window=cfg.rel_window)
     conditional = cfg.likelihood == "conditional"
     sigma = cramer_rao_sigma(fam, cfg.n_source, conditional=conditional,
-                             delta_rel=cfg.delta_rel)
+                             rel_window=cfg.rel_window)
     _write_json(os.path.join(out_dir, "fisher.json"),
                 {"fisher_per_event": info,
                  "count_information_per_atom": extra,
                  "sigma_cr_mps2": sigma, "n_source": cfg.n_source,
-                 "delta_rel": cfg.delta_rel, "likelihood": cfg.likelihood})
+                 "likelihood": cfg.likelihood})
     return ["fisher.json"], {}
 
 
@@ -262,8 +274,7 @@ def _cmd_campaign(cfg, args, out_dir):
     fam = _family(cfg)
     res = run_campaign(fam, cfg.n_source, cfg.n_replicates, cfg.seed,
                        rel_window=cfg.rel_window, n_scan=cfg.n_scan,
-                       conditional=cfg.likelihood == "conditional",
-                       delta_rel=cfg.delta_rel)
+                       conditional=cfg.likelihood == "conditional")
     _write_json(os.path.join(out_dir, "campaign.json"), res.summary())
     _write_csv(os.path.join(out_dir, "campaign_replicates.csv"),
                {"seed": cfg.seed, "n_source": cfg.n_source},

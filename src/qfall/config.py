@@ -59,7 +59,6 @@ class RunConfig:
     seed: int = 1
     rel_window: float = 2e-4
     n_scan: int = 41
-    delta_rel: float = 5e-5
 
 
 # key -> (field name, dimension or None, python type)
@@ -86,7 +85,6 @@ KEYS = {
     "inference.seed": ("seed", None, int),
     "inference.rel_window": ("rel_window", None, float),
     "inference.n_scan": ("n_scan", None, int),
-    "inference.delta_rel": ("delta_rel", None, float),
 }
 
 _FIELD_TO_KEY = {spec[0]: key for key, spec in KEYS.items()}
@@ -164,10 +162,12 @@ def parse_config(text: str) -> RunConfig:
 def _validate(cfg: RunConfig):
     positive = ("frequency", "release_height", "travel_distance",
                 "fall_height", "g", "n_max", "n_source", "n_replicates",
-                "rel_window", "delta_rel")
+                "rel_window")
     for name in positive:
         if getattr(cfg, name) <= 0:
             raise ConfigError("%s must be positive" % _FIELD_TO_KEY[name])
+    if cfg.rel_window >= 1.0:
+        raise ConfigError("inference.rel_window must be below 1")
     if cfg.detachment_energy < 0 or cfg.kick_velocity < 0:
         raise ConfigError("recoil settings must be nonnegative")
     if cfg.detachment_energy > 0 and cfg.kick_velocity > 0:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.special as sps
@@ -306,6 +307,13 @@ def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
 # ---------------------------------------------------------------------------
 # the folded estimation map
 
+def cell_masses(density: np.ndarray, cell_area: float) -> np.ndarray:
+    """Bilinear mass of each lattice cell, shape (n_t - 1, n_T - 1)."""
+    D = density
+    corners = D[:-1, :-1] + D[1:, :-1] + D[:-1, 1:] + D[1:, 1:]
+    return 0.25 * corners * cell_area
+
+
 @dataclass(frozen=True)
 class FoldedMap:
     """Azimuth-integrated landing density on the (t, T) lattice.
@@ -334,6 +342,11 @@ class FoldedMap:
 
     def total_weight(self) -> float:
         return float(self.density.sum() * self.cell_area)
+
+    @cached_property
+    def normalizer(self) -> float:
+        """Total bilinear mass Z of the lattice window, computed once."""
+        return cell_masses(self.density, self.cell_area).sum()
 
 
 class MapMaker:

@@ -11,6 +11,13 @@ bilinear surface between lattice nodes, cells are drawn by inverse CDF on the
 cell masses, and the in-cell position inverts the linear marginals exactly.
 The estimator therefore maximizes the likelihood of the same family the
 samples came from, which is what the Cramer-Rao comparison assumes.
+
+Scans and Fisher information read the family through `MapNodes`: maps built
+at the Chebyshev-Lobatto points of the scan window and interpolated in g,
+cell by cell, with the barycentric formula (Berrut & Trefethen, SIAM Review
+46, 2004).  Every lattice cell is a smooth function of g across the window,
+so a handful of builds stands in for one build per scan point, and the
+score d log m / dg is the interpolant's derivative.
 """
 
 import math
@@ -20,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .freefall import FoldedMap, GridSpec, MapMaker
+from .freefall import FoldedMap, GridSpec, MapMaker, cell_masses
 from .mirror import DiskGeometry
 from .physcore import CONSTANTS, G_DEFAULT, PhysicalConstants
 from .source import PhotodetachConfig, TrapConfig
@@ -34,6 +41,15 @@ FISHER_MASS_FLOOR = 1e-14
 # relative density floor applied inside the log (events falling where the
 # model vanishes are penalized, not discarded)
 DENSITY_FLOOR = 1e-12
+
+# A node set doubles from MIN_NODES through the nested Chebyshev-Lobatto
+# sets (5 -> 9 -> 17 -> 33) until its last two Chebyshev coefficients, the
+# largest over the lattice, fall below NODE_TAIL of the map maximum.  At
+# desk scale that is 9 nodes for a +-4e-4 window (tail 4e-5; 5 nodes leave
+# 4e-2 and move estimates by 5e-2 sigma) and 17 for +-1.6e-3.
+NODE_TAIL = 1e-4
+MIN_NODES = 5
+MAX_NODES = 33
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -73,13 +89,6 @@ class EventSet:
         return geometry.travel_distance * self.arrival_time / self.edge_time
 
 
-def _cell_masses(fmap: FoldedMap) -> np.ndarray:
-    """Bilinear mass of each lattice cell, shape (n_t - 1, n_T - 1)."""
-    D = fmap.density
-    corners = D[:-1, :-1] + D[1:, :-1] + D[:-1, 1:] + D[1:, 1:]
-    return 0.25 * corners * fmap.cell_area
-
-
 def _invert_linear(a: np.ndarray, b: np.ndarray,
                    r: np.ndarray) -> np.ndarray:
     """Draw x in [0, 1] with density proportional to a + (b - a) x.
@@ -98,10 +107,12 @@ def _invert_linear(a: np.ndarray, b: np.ndarray,
 
 def _bilinear_at(values: np.ndarray, i: np.ndarray, j: np.ndarray,
                  x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    f00 = values[i, j]
-    f10 = values[i + 1, j]
-    f01 = values[i, j + 1]
-    f11 = values[i + 1, j + 1]
+    """Bilinear surface over the last two axes at cells (i, j), offsets
+    (x, y); a stack of maps gives one row per map."""
+    f00 = values[..., i, j]
+    f10 = values[..., i + 1, j]
+    f01 = values[..., i, j + 1]
+    f11 = values[..., i + 1, j + 1]
     return (f00 * (1 - x) * (1 - y) + f10 * x * (1 - y)
             + f01 * (1 - x) * y + f11 * x * y)
 
@@ -138,9 +149,8 @@ def sample_events(fmap: FoldedMap, n_source: int,
     """
     if n_source < 0:
         raise DomainError("source count must be nonnegative")
-    masses = _cell_masses(fmap)
-    total = masses.sum()
-    if total <= 0.0:
+    masses = cell_masses(fmap.density, fmap.cell_area)
+    if fmap.normalizer <= 0.0:
         raise DomainError("map carries no probability mass")
     p = min(fmap.metadata["fraction"], 1.0)
     n_det = int(rng.binomial(n_source, p))
@@ -169,6 +179,40 @@ def sample_events(fmap: FoldedMap, n_source: int,
                     n_source=n_source, g_true=fmap.g)
 
 
+def _event_cells(events: EventSet, fmap: FoldedMap):
+    """Lattice cell (i, j), in-cell offsets (x, y) and inside mask of each
+    event on the map's (t, T) lattice."""
+    nt, nT = fmap.density.shape
+    fi = (events.edge_time - fmap.t[0]) / (fmap.t[1] - fmap.t[0])
+    fj = (events.arrival_time - fmap.T[0]) / (fmap.T[1] - fmap.T[0])
+    inside = (fi >= 0) & (fi <= nt - 1) & (fj >= 0) & (fj <= nT - 1)
+    i = np.clip(fi.astype(int), 0, nt - 2)
+    j = np.clip(fj.astype(int), 0, nT - 2)
+    return i, j, fi - i, fj - j, inside
+
+
+def _events_log_likelihood(events: EventSet, fmap: FoldedMap,
+                           f: np.ndarray, inside: np.ndarray, Z, p,
+                           conditional: bool, floor: float):
+    """The per-event log-likelihood formula of every scoring path.
+
+    f holds the events' bilinear densities along its last axis; Z (the
+    window mass) and p (the transmitted fraction) carry f's leading axes,
+    one value per scan point on the node path.  Events off the lattice
+    score zero density, and every density is floored at floor Z / span.
+    """
+    n = events.n_detected
+    Z = np.asarray(Z)
+    f = np.where(inside, f, 0.0)
+    span = (fmap.t[-1] - fmap.t[0]) * (fmap.T[-1] - fmap.T[0])
+    ll = (np.log(np.maximum(f, (floor * Z / span)[..., None])).sum(axis=-1)
+          - n * np.log(Z))
+    if not conditional:
+        p = np.minimum(p, 1.0)
+        ll = ll + n * np.log(p) + (events.n_source - n) * np.log1p(-p)
+    return ll
+
+
 def log_likelihood(events: EventSet, fmap: FoldedMap,
                    conditional: bool = True,
                    floor: float = DENSITY_FLOOR) -> float:
@@ -178,26 +222,127 @@ def log_likelihood(events: EventSet, fmap: FoldedMap,
     normalized over the lattice window.  Unconditional adds the binomial
     detected/not-detected term with p(g) the transmitted fraction.
     """
-    n = events.n_detected
-    masses = _cell_masses(fmap)
-    Z = masses.sum()
-    ll = 0.0
-    if n:
-        nt, nT = fmap.density.shape
-        fi = (events.edge_time - fmap.t[0]) / (fmap.t[1] - fmap.t[0])
-        fj = (events.arrival_time - fmap.T[0]) / (fmap.T[1] - fmap.T[0])
-        inside = (fi >= 0) & (fi <= nt - 1) & (fj >= 0) & (fj <= nT - 1)
-        i = np.clip(fi.astype(int), 0, nt - 2)
-        j = np.clip(fj.astype(int), 0, nT - 2)
-        f = _bilinear_at(fmap.density, i, j, fi - i, fj - j)
-        f = np.where(inside, f, 0.0)
-        span = (fmap.t[-1] - fmap.t[0]) * (fmap.T[-1] - fmap.T[0])
-        ll = float(np.log(np.maximum(f, floor * Z / span)).sum()
-                   - n * math.log(Z))
-    if not conditional:
-        p = min(fmap.metadata["fraction"], 1.0)
-        ll += n * math.log(p) + (events.n_source - n) * math.log1p(-p)
-    return ll
+    i, j, x, y, inside = _event_cells(events, fmap)
+    f = _bilinear_at(fmap.density, i, j, x, y)
+    return float(_events_log_likelihood(
+        events, fmap, f, inside, fmap.normalizer,
+        fmap.metadata["fraction"], conditional, floor))
+
+
+def _lobatto_points(n: int) -> np.ndarray:
+    """cos(pi k / n), k = 0..n, written as a sine so that the centre point
+    is exactly 0 and the set is exactly symmetric."""
+    k = np.arange(n + 1)
+    return np.sin(np.pi * (n - 2 * k) / (2 * n))
+
+
+def _barycentric_weights(n: int) -> np.ndarray:
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def _spread(values: np.ndarray) -> np.ndarray:
+    """Node values of a Lobatto set moved to the even slots of the doubled
+    set; the odd slots are left to be filled."""
+    out = np.empty((2 * values.shape[0] - 1,) + values.shape[1:])
+    out[0::2] = values
+    return out
+
+
+def _chebyshev_tail(values: np.ndarray) -> float:
+    """Largest |c_{n-1}|, |c_n| over the trailing axes of samples at the
+    n + 1 Lobatto points (leading axis), by the DCT-I sum."""
+    n = values.shape[0] - 1
+    half = np.ones(n + 1)
+    half[[0, -1]] = 0.5
+    rows = np.cos(np.pi * np.outer([n - 1, n], np.arange(n + 1)) / n)
+    rows *= half * (2.0 / n)
+    rows[1] *= 0.5
+    # one coefficient map at a time: this runs beside the node stack
+    return max(float(np.abs(np.tensordot(row, values, axes=1)).max())
+               for row in rows)
+
+
+@dataclass(frozen=True)
+class MapNodes:
+    """Folded-map densities at the Chebyshev-Lobatto points of a g window.
+
+    Node k sits at g0 (1 + rel_window x_k) with x_k = cos(pi k / n), so the
+    centre node is g0 itself.  Only the node densities are kept, one
+    (P, n_t, n_T) stack, with each node's window mass Z_k and transmitted
+    fraction; `center` is the g0 map, which carries the lattice.  Between
+    the nodes every quantity linear in the density is the barycentric
+    combination of its node values; the interpolant does not extrapolate.
+    `tail` is the final Chebyshev tail over the map maximum.
+    """
+
+    rel_window: float
+    x: np.ndarray
+    density: np.ndarray
+    normalizer: np.ndarray
+    fraction: np.ndarray
+    center: FoldedMap
+    tail: float
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.center.g * (1.0 + self.rel_window * self.x)
+
+    def _offset(self, g) -> np.ndarray:
+        x = (np.asarray(g, dtype=float) / self.center.g - 1.0) \
+            / self.rel_window
+        if np.any(np.abs(x) > 1.0 + 1e-9):
+            raise DomainError("g lies outside the node window; widen the "
+                              "window instead of extrapolating")
+        return x
+
+    def weights(self, g) -> np.ndarray:
+        """Weights (..., P) of the interpolant at g: value = weights @ node
+        values.  At a node they are exactly that node's unit vector."""
+        diff = self._offset(g)[..., None] - self.x
+        hit = diff == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = _barycentric_weights(self.x.shape[0] - 1) / diff
+            w = a / a.sum(axis=-1, keepdims=True)
+        return np.where(hit.any(axis=-1, keepdims=True), hit * 1.0, w)
+
+    def slope_weights(self, g: float) -> np.ndarray:
+        """Weights (P,) of the interpolant's derivative d/dg at one g."""
+        b = _barycentric_weights(self.x.shape[0] - 1)
+        diff = float(self._offset(g)) - self.x
+        hit = np.flatnonzero(diff == 0.0)
+        if hit.size:
+            # a node: the row of the differentiation matrix
+            i = hit[0]
+            others = np.arange(b.shape[0]) != i
+            d = np.zeros(b.shape[0])
+            d[others] = (b[others] / b[i]) / (self.x[i] - self.x[others])
+            d[i] = -d[others].sum()
+        else:
+            a = b / diff
+            c = a / (a.sum() * diff)
+            d = c.sum() * a / a.sum() - c
+        return d / (self.center.g * self.rel_window)
+
+    def density_at(self, g: float) -> np.ndarray:
+        """Interpolated (n_t, n_T) density at one g."""
+        return np.tensordot(self.weights(g), self.density, axes=1)
+
+    def scan(self, events: EventSet, g_values,
+             conditional: bool = True) -> np.ndarray:
+        """Log-likelihood of one event set at each g of g_values.
+
+        Each event's bilinear density is read at the P nodes once; a scan
+        point is then a weighted sum of those and of the node Z_k and
+        fractions, scored by the formula of `log_likelihood`.
+        """
+        i, j, x, y, inside = _event_cells(events, self.center)
+        f = _bilinear_at(self.density, i, j, x, y)   # (P, n)
+        L = self.weights(g_values)                   # (n_scan, P)
+        return _events_log_likelihood(
+            events, self.center, L @ f, inside, L @ self.normalizer,
+            L @ self.fraction, conditional, DENSITY_FLOOR)
 
 
 class GridDensityFamily:
@@ -205,7 +350,9 @@ class GridDensityFamily:
 
     The lattice, mode grid, and recoil nodes are fixed at g0, so densities
     at different g are directly comparable cell by cell; maps are cached by
-    exact g value unless keep=False.
+    exact g value unless keep=False.  `builds` counts the maps built;
+    `nodes(rel_window)` gives the node set of a scan window and keeps the
+    last one.
     """
 
     def __init__(self, n_max: int, trap: TrapConfig,
@@ -215,7 +362,9 @@ class GridDensityFamily:
         self.maker = MapMaker(n_max, trap, photodetach, geometry, spec,
                               g0, constants)
         self.geometry = geometry
+        self.builds = 0
         self._cache = {}
+        self._nodes = None
 
     @property
     def g0(self) -> float:
@@ -226,9 +375,52 @@ class GridDensityFamily:
         if g in self._cache:
             return self._cache[g]
         fmap = self.maker.build(g)
+        self.builds += 1
         if keep:
             self._cache[g] = fmap
         return fmap
+
+    def nodes(self, rel_window: float) -> MapNodes:
+        """Node set over [g0 (1 - rel_window), g0 (1 + rel_window)].
+
+        The g0 map is kept in the map cache; the other nodes are built with
+        keep=False and only their densities stay.  The set of the last
+        window is kept, so a scan and the Fisher information at the same
+        window share one set.
+        """
+        if self._nodes is not None and self._nodes.rel_window == rel_window:
+            return self._nodes
+        if not 0.0 < rel_window < 1.0:
+            raise DomainError("the scan window must lie in (0, 1)")
+        self._nodes = None
+        center = self.map_at(self.g0)
+        x = _lobatto_points(MIN_NODES - 1)
+        density = np.empty((x.shape[0],) + center.density.shape)
+        normalizer = np.empty(x.shape[0])
+        fraction = np.empty(x.shape[0])
+        fresh = range(x.shape[0])
+        while True:
+            for k in fresh:
+                # the centre node is g0 exactly, a hit in the map cache
+                fm = self.map_at(self.g0 * (1.0 + rel_window * x[k]),
+                                 keep=False)
+                density[k] = fm.density
+                normalizer[k] = fm.normalizer
+                fraction[k] = fm.metadata["fraction"]
+                del fm   # not alive during the next build
+            tail = float(_chebyshev_tail(density) / density.max())
+            if tail <= NODE_TAIL or x.shape[0] >= MAX_NODES:
+                break
+            # the doubled set holds the current points at its even indices
+            x = _lobatto_points(2 * (x.shape[0] - 1))
+            density, normalizer, fraction = (
+                _spread(a) for a in (density, normalizer, fraction))
+            fresh = range(1, x.shape[0], 2)
+        self._nodes = MapNodes(
+            rel_window=rel_window, x=x, density=density,
+            normalizer=normalizer, fraction=fraction, center=center,
+            tail=tail)
+        return self._nodes
 
 
 def _scan_lattice(g_center: float, rel_window: float,
@@ -279,22 +471,21 @@ class GravityEstimate:
 
 def estimate_g(events: EventSet, family: GridDensityFamily,
                rel_window: float = 2e-4, n_scan: int = 41,
-               conditional: bool = True, max_widen: int = 3,
-               keep_maps: bool = True) -> GravityEstimate:
+               conditional: bool = True,
+               max_widen: int = 3) -> GravityEstimate:
     """Maximum-likelihood g from a scan plus parabolic refinement.
 
-    If the maximum lands on a scan edge the window is doubled (up to
-    max_widen times) so a poorly guessed window cannot silently truncate
-    the estimate.
+    The scan reads the family's node set over the window.  If the maximum
+    lands on a scan edge the window is doubled (up to max_widen times), with
+    a node set built over the wider window, so a poorly guessed window
+    cannot silently truncate the estimate.
     """
     if events.n_detected == 0:
         raise DomainError("cannot estimate g from zero detected events")
     widened = 0
     while True:
         g_values = _scan_lattice(family.g0, rel_window, n_scan)
-        ll = np.asarray([
-            log_likelihood(events, family.map_at(g, keep=keep_maps),
-                           conditional=conditional) for g in g_values])
+        ll = family.nodes(rel_window).scan(events, g_values, conditional)
         g_hat, sigma, on_edge = _refine_peak(g_values, ll)
         if not on_edge or widened >= max_widen:
             return GravityEstimate(value=g_hat, sigma=sigma,
@@ -305,47 +496,47 @@ def estimate_g(events: EventSet, family: GridDensityFamily,
 
 
 def fisher_information(family: GridDensityFamily, g: Optional[float] = None,
-                       delta_rel: float = 5e-5,
+                       rel_window: float = 2e-4,
                        mass_floor: float = FISHER_MASS_FLOOR) -> float:
     """Per-detected-event Fisher information of the arrival density.
 
-    Central difference of the normalized cell masses:
-    I = sum_c m_c (d log m_c / dg)^2 over cells above the mass floor.
+    I = sum_c m_c (d log m_c / dg)^2 over the normalized cell masses above
+    the mass floor.  The masses and their g-derivative come from the node
+    set over rel_window (g must lie inside it): cell masses are linear in
+    the density, so both are the interpolant and its derivative at g.
     """
     g = family.g0 if g is None else float(g)
-    step = g * delta_rel
-    m0 = _cell_masses(family.map_at(g))
-    mp = _cell_masses(family.map_at(g + step))
-    mm = _cell_masses(family.map_at(g - step))
-    m0 = m0 / m0.sum()
-    mp = mp / mp.sum()
-    mm = mm / mm.sum()
-    mask = (m0 > mass_floor) & (mp > 0.0) & (mm > 0.0)
-    score = (np.log(mp[mask]) - np.log(mm[mask])) / (2.0 * step)
-    return float((m0[mask] * score * score).sum())
+    nodes = family.nodes(rel_window)
+    area = nodes.center.cell_area
+    m = cell_masses(nodes.density_at(g), area)
+    dm = cell_masses(np.tensordot(nodes.slope_weights(g), nodes.density,
+                                  axes=1), area)
+    Z = m.sum()
+    mask = m / Z > mass_floor
+    score = dm[mask] / m[mask] - dm.sum() / Z
+    return float((m[mask] / Z * score * score).sum())
 
 
 def count_information(family: GridDensityFamily, g: Optional[float] = None,
-                      delta_rel: float = 5e-5) -> float:
+                      rel_window: float = 2e-4) -> float:
     """Per-source-atom information in the detected/not-detected split."""
     g = family.g0 if g is None else float(g)
-    step = g * delta_rel
-    pp = family.map_at(g + step).metadata["fraction"]
-    pm = family.map_at(g - step).metadata["fraction"]
-    p0 = family.map_at(g).metadata["fraction"]
-    dp = (pp - pm) / (2.0 * step)
-    return dp * dp / (p0 * (1.0 - p0))
+    nodes = family.nodes(rel_window)
+    p = nodes.weights(g) @ nodes.fraction
+    dp = nodes.slope_weights(g) @ nodes.fraction
+    return float(dp * dp / (p * (1.0 - p)))
 
 
 def cramer_rao_sigma(family: GridDensityFamily, n_source: int,
                      g: Optional[float] = None, conditional: bool = True,
-                     delta_rel: float = 5e-5) -> float:
+                     rel_window: float = 2e-4) -> float:
     """Lower bound on sigma_g for one experiment of n_source atoms."""
     g = family.g0 if g is None else float(g)
-    p = family.map_at(g).metadata["fraction"]
-    info = n_source * p * fisher_information(family, g, delta_rel)
+    nodes = family.nodes(rel_window)
+    p = nodes.weights(g) @ nodes.fraction
+    info = n_source * p * fisher_information(family, g, rel_window)
     if not conditional:
-        info += n_source * count_information(family, g, delta_rel)
+        info += n_source * count_information(family, g, rel_window)
     return 1.0 / math.sqrt(info)
 
 
@@ -366,6 +557,8 @@ class CampaignResult:
     sigma_mc_se: float
     sigma_cr: float
     sigma_ratio: float
+    map_builds: int
+    node_tail: float
 
     def summary(self) -> dict:
         return {
@@ -376,25 +569,28 @@ class CampaignResult:
             "sigma_cr": self.sigma_cr, "sigma_ratio": self.sigma_ratio,
             "edge_hits": self.edge_hits,
             "mean_detected": float(self.n_detected.mean()),
+            "map_builds": self.map_builds, "node_tail": self.node_tail,
         }
 
 
 def run_campaign(family: GridDensityFamily, n_source: int,
                  n_replicates: int, seed: int,
                  g_true: Optional[float] = None, rel_window: float = 2e-4,
-                 n_scan: int = 41, conditional: bool = True,
-                 delta_rel: float = 5e-5,
-                 keep_maps: bool = False) -> CampaignResult:
+                 n_scan: int = 41,
+                 conditional: bool = True) -> CampaignResult:
     """Replicated experiments against the Cramer-Rao bound.
 
-    Scan-major evaluation: each scan map is built once and scored against
-    every replicate, so the map-build cost does not scale with the number
-    of replicates.  Replicate r draws from the Philox stream keyed by
+    One node set over the scan window serves every replicate and the
+    bound, so the map-build cost depends on neither the replicate count
+    nor the scan count.  Replicate r draws from the Philox stream keyed by
     (seed, r) regardless of execution order.
     """
     if n_replicates < 2:
         raise DomainError("need at least 2 replicates for a spread")
     g_true = family.g0 if g_true is None else float(g_true)
+    if not abs(g_true / family.g0 - 1.0) <= rel_window:
+        raise DomainError("g_true lies outside the scan window")
+    builds = family.builds
     fmap_true = family.map_at(g_true)
     events = [sample_events(fmap_true, n_source, replicate_rng(seed, r))
               for r in range(n_replicates)]
@@ -403,23 +599,19 @@ def run_campaign(family: GridDensityFamily, n_source: int,
                           "raise the source count")
 
     g_values = _scan_lattice(family.g0, rel_window, n_scan)
-    LL = np.empty((n_replicates, n_scan))
-    for k, gk in enumerate(g_values):
-        fm = family.map_at(gk, keep=keep_maps)
-        for r, ev in enumerate(events):
-            LL[r, k] = log_likelihood(ev, fm, conditional=conditional)
-
+    nodes = family.nodes(rel_window)
     estimates = np.empty(n_replicates)
     sigmas = np.empty(n_replicates)
     edge_hits = 0
-    for r in range(n_replicates):
-        estimates[r], sigmas[r], on_edge = _refine_peak(g_values, LL[r])
+    for r, ev in enumerate(events):
+        ll = nodes.scan(ev, g_values, conditional)
+        estimates[r], sigmas[r], on_edge = _refine_peak(g_values, ll)
         edge_hits += int(on_edge)
 
     g_mean = float(estimates.mean())
     sigma_mc = float(estimates.std(ddof=1))
     sigma_cr = cramer_rao_sigma(family, n_source, g_true, conditional,
-                                delta_rel)
+                                rel_window)
     return CampaignResult(
         g_true=g_true, n_source=n_source, n_replicates=n_replicates,
         seed=seed, estimates=estimates, sigmas=sigmas,
@@ -427,4 +619,5 @@ def run_campaign(family: GridDensityFamily, n_source: int,
         scan_g=g_values, edge_hits=edge_hits, g_mean=g_mean,
         bias=g_mean - g_true, sigma_mc=sigma_mc,
         sigma_mc_se=sigma_mc / math.sqrt(2.0 * (n_replicates - 1)),
-        sigma_cr=sigma_cr, sigma_ratio=sigma_mc / sigma_cr)
+        sigma_cr=sigma_cr, sigma_ratio=sigma_mc / sigma_cr,
+        map_builds=family.builds - builds, node_tail=nodes.tail)

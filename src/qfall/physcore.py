@@ -71,19 +71,3 @@ def derive_scales(g: float, constants: PhysicalConstants = CONSTANTS) -> GravSca
     return GravScales(g=g, length=length, energy=energy, time=time,
                       velocity=velocity, momentum=momentum)
 
-
-_KINDS = ("length", "time", "energy", "velocity", "momentum")
-
-
-def nondimensionalize(value, kind: str, scales: GravScales):
-    """Divide an SI value (scalar or array) by the scale named by `kind`."""
-    if kind not in _KINDS:
-        raise DomainError(f"unknown quantity kind {kind!r}; expected one of {_KINDS}")
-    return value / getattr(scales, kind)
-
-
-def dimensionalize(value, kind: str, scales: GravScales):
-    """Multiply a dimensionless value (scalar or array) by the scale `kind`."""
-    if kind not in _KINDS:
-        raise DomainError(f"unknown quantity kind {kind!r}; expected one of {_KINDS}")
-    return value * getattr(scales, kind)

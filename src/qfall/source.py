@@ -184,25 +184,3 @@ def polar_nodes(photodetach: PhotodetachConfig,
     return PolarNodes(u=u, wu=wu, w_even=wu * coef_even,
                       w_cos2=wu * coef_cos2, pol_angle=pol_angle)
 
-
-def velocity_distribution(trap: TrapConfig, photodetach: PhotodetachConfig,
-                          vx, vy, vz,
-                          n_polar: int = DEFAULT_POLAR_NODES,
-                          n_azimuth: int = DEFAULT_AZIMUTH_NODES):
-    """Recoil-averaged velocity density after detachment (broadcasting).
-
-    Pi0(v) = sum_k w_k N3(v - v_r qhat_k; delta_v): the dipole-weighted shell
-    of radius v_r convolved with the isotropic trap Gaussian.
-    """
-    quad = recoil_quadrature(photodetach, n_polar, n_azimuth)
-    vx, vy, vz = np.broadcast_arrays(np.asarray(vx, float), np.asarray(vy, float),
-                                     np.asarray(vz, float))
-    dv = trap.velocity_spread
-    vr = photodetach.recoil_velocity
-    norm = (2.0 * math.pi * dv * dv) ** (-1.5)
-    out = np.zeros(vx.shape)
-    for qhat, w in zip(quad.directions, quad.weights):
-        d2 = ((vx - vr * qhat[0]) ** 2 + (vy - vr * qhat[1]) ** 2
-              + (vz - vr * qhat[2]) ** 2)
-        out += w * np.exp(-d2 / (2.0 * dv * dv))
-    return norm * out

@@ -11,8 +11,12 @@ import os
 import numpy as np
 import pytest
 
+import qfall.cli as cli
+import qfall.gqs as gqs
 import qfall.kernels as kernels
 from qfall.cli import _read_events_csv, main
+from qfall.config import build_components, parse_config
+from qfall.inference import NODE_TAIL
 from qfall.physcore import derive_scales
 
 DESK_CFG = """
@@ -69,14 +73,27 @@ class TestLightCommands:
         assert rows.shape == (50, 4)
         assert rows[0, 1] == pytest.approx(2.3381074104597674, abs=1e-10)
 
-    def test_end_of_mirror(self, tmp_path, desk_cfg):
+    def test_end_of_mirror(self, tmp_path, desk_cfg, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gqs.overlap_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "overlap_matrix", counted)
         out = str(tmp_path)
         assert main(["end-of-mirror", "--config", desk_cfg,
                      "--out", out]) == 0
+        assert len(calls) == 1
         with open(tmp_path / "end_of_mirror.json") as fh:
             data = json.load(fh)
         assert data["fraction"] == pytest.approx(0.0923, abs=5e-3)
         assert data["expected_count"] == round(20000 * data["fraction"])
+        cfg = parse_config(DESK_CFG)
+        trap, pd, geom, _ = build_components(cfg)
+        want = gqs.transmitted_fraction(gqs.build_basis(cfg.n_max), trap, pd,
+                                        geom.release_height, cfg.n_polar)
+        assert data["fraction"] == want.fraction
 
     def test_source_dist(self, tmp_path, desk_cfg):
         out = str(tmp_path)
@@ -162,6 +179,7 @@ class TestFisherCampaign:
         assert data["sigma_cr_mps2"] == pytest.approx(
             1.0 / math.sqrt(20000 * 0.0923 * data["fisher_per_event"]),
             rel=0.01)
+        assert "delta_rel" not in data
 
     def test_campaign_files(self, tmp_path, desk_cfg):
         out = str(tmp_path)
@@ -170,11 +188,56 @@ class TestFisherCampaign:
             data = json.load(fh)
         assert data["n_replicates"] == 4
         assert data["sigma_mc"] > 0
+        # the 9 nodes of the +-1e-4 window, fewer than the 11 scan points
+        assert data["map_builds"] == 9
+        assert data["node_tail"] <= NODE_TAIL
         rows = np.loadtxt(tmp_path / "campaign_replicates.csv",
                           delimiter=",", skiprows=4)
         assert rows.shape == (4, 4)
         man = _manifest(out, "campaign")
         assert man["resolved"]["edge_hits"] == 0
+
+
+def _no_zero_table(n_max):
+    raise RuntimeError("zero table requested")
+
+
+class TestPolarizationCheck:
+    """A tilted polarization breaks the two-harmonic azimuth fold."""
+
+    @pytest.fixture()
+    def tilted_cfg(self, tmp_path):
+        path = tmp_path / "tilted.cfg"
+        path.write_text(DESK_CFG + "source.polarization = 0, 1, 1\n")
+        return str(path)
+
+    def test_folding_commands_refuse_it_before_compute(
+            self, tmp_path, tilted_cfg, monkeypatch):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        events = tmp_path / "events.csv"
+        events.write_text("# n_source = 10\nt_s,T_s,phi_rad,rbar_m\n"
+                          "0.01,0.3,0.1,1.5\n")
+        for command in ("simulate", "estimate", "fisher", "campaign",
+                        "current-map"):
+            out = str(tmp_path / command)
+            extra = ["--events", str(events)] if command == "estimate" \
+                else []
+            assert main([command, "--config", tilted_cfg, "--out", out]
+                        + extra) == 1
+            error = _manifest(out, command.replace("-", "_"))["error"]
+            assert "ConfigError" in error and "polarization" in error
+
+    def test_mirror_commands_accept_it(self, tmp_path, tilted_cfg,
+                                       monkeypatch):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        out = str(tmp_path)
+        assert main(["source-dist", "--config", tilted_cfg,
+                     "--out", out]) == 0
+        # end-of-mirror passes the configuration and goes on to the zeros
+        assert main(["end-of-mirror", "--config", tilted_cfg,
+                     "--out", out]) == 1
+        assert "zero table requested" in _manifest(out, "end_of_mirror")[
+            "error"]
 
 
 class TestFailureAndPrecedence:

@@ -68,6 +68,9 @@ class TestValidation:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="line 1.*unknown key"):
             parse_config("physics.mass = 1")
+        # the Fisher score is the node interpolant's derivative: no step
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("inference.delta_rel = 5e-5")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="already set on line 1"):
@@ -89,6 +92,8 @@ class TestValidation:
     def test_positivity(self):
         with pytest.raises(ConfigError, match="fall_height"):
             parse_config("geometry.fall_height = -1 m")
+        with pytest.raises(ConfigError, match="rel_window"):
+            parse_config("inference.rel_window = 1")
 
     def test_enum_values(self):
         assert parse_config("freefall.jacobian = T").jacobian == "T"

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from qfall.errors import DomainError
-from qfall.inference import (CampaignResult, EventSet, GridDensityFamily,
-                             _bilinear_at, _cell_masses, _invert_linear,
-                             count_information, cramer_rao_sigma, estimate_g,
-                             fisher_information, log_likelihood, replicate_rng,
-                             run_campaign, sample_events)
+from qfall.freefall import cell_masses
+from qfall.inference import (NODE_TAIL, CampaignResult, EventSet,
+                             GridDensityFamily, _bilinear_at, _invert_linear,
+                             _refine_peak, _scan_lattice, count_information,
+                             cramer_rao_sigma, estimate_g, fisher_information,
+                             log_likelihood, replicate_rng, run_campaign,
+                             sample_events)
 from qfall.mirror import DiskGeometry
 from qfall.source import build_photodetach, build_trap
 
@@ -86,7 +88,7 @@ class TestSampling:
         cnt, _, _ = np.histogram2d(big_sample.edge_time,
                                    big_sample.arrival_time,
                                    bins=[fmap.t, fmap.T])
-        masses = _cell_masses(fmap)
+        masses = cell_masses(fmap.density, fmap.cell_area)
         expected = masses / masses.sum() * big_sample.n_detected
         m = expected >= 20.0
         chi2 = float(((cnt[m] - expected[m]) ** 2 / expected[m]).sum())
@@ -188,6 +190,12 @@ class TestEstimator:
         est = estimate_g(ev, family, rel_window=1e-4, n_scan=9)
         assert est.widened >= 1
         assert est.value == pytest.approx(g_shift, abs=6 * est.sigma)
+        # the last scan read a node set built over the widened window
+        builds = family.builds
+        nodes = family.nodes(1e-4 * 2 ** est.widened)
+        assert family.builds == builds
+        assert nodes.g.max() == pytest.approx(est.scan_g[-1], rel=1e-14)
+        assert nodes.g.min() == pytest.approx(est.scan_g[0], rel=1e-14)
 
     def test_campaign_unbiased_and_efficient(self, family):
         res = run_campaign(family, 20_000, 40, seed=SEED)
@@ -206,15 +214,82 @@ class TestEstimator:
         s = res.summary()
         assert s["n_replicates"] == 5
         assert s["sigma_ratio"] == res.sigma_ratio
+        assert s["map_builds"] == res.map_builds
+        assert s["node_tail"] == family.nodes(2e-4).tail
         assert isinstance(res, CampaignResult)
+
+    def test_campaign_builds_only_the_nodes(self):
+        fam = GridDensityFamily(50, build_trap(20e3),
+                                build_photodetach(10e-6 * EV), GEO)
+        res = run_campaign(fam, 1000, 3, seed=SEED, rel_window=4e-4,
+                           n_scan=41)
+        assert res.map_builds == fam.builds == 9
+        assert fam.nodes(4e-4).x.shape[0] == 9
+        assert res.node_tail <= NODE_TAIL
+
+
+class TestMapNodes:
+    @pytest.mark.parametrize("rel_window, count", [(4e-4, 9), (1.6e-3, 17)])
+    def test_interpolant_matches_direct_builds(self, family, rel_window,
+                                               count):
+        nodes = family.nodes(rel_window)
+        assert nodes.x.shape[0] == count
+        assert nodes.tail <= NODE_TAIL
+        top = nodes.density.max()
+        for x in (0.37, -0.61, 0.93):
+            g = family.g0 * (1.0 + rel_window * x)
+            direct = family.map_at(g, keep=False).density
+            assert np.abs(nodes.density_at(g) - direct).max() <= 1e-5 * top
+
+    def test_center_node_is_the_direct_map(self, family, fmap):
+        nodes = family.nodes(4e-4)
+        c = nodes.x.shape[0] // 2
+        assert nodes.g[c] == family.g0
+        assert np.array_equal(nodes.density[c], fmap.density)
+        assert np.array_equal(nodes.density_at(family.g0), fmap.density)
+        assert nodes.normalizer[c] == fmap.normalizer
+
+    def test_no_extrapolation(self, family):
+        nodes = family.nodes(4e-4)
+        with pytest.raises(DomainError):
+            nodes.weights(family.g0 * (1.0 + 5e-4))
+
+    def test_scan_matches_direct_maps(self, family, fmap):
+        rel_window, n_scan = 4e-4, 11
+        nodes = family.nodes(rel_window)
+        g_values = _scan_lattice(family.g0, rel_window, n_scan)
+        direct = [family.map_at(g, keep=False) for g in g_values]
+        sigma = cramer_rao_sigma(family, 1000, rel_window=rel_window)
+        c = n_scan // 2
+        for r in range(4):
+            ev = sample_events(fmap, 1000, replicate_rng(SEED, r))
+            for conditional in (True, False):
+                scan = nodes.scan(ev, g_values, conditional)
+                ll = np.asarray([log_likelihood(ev, fm, conditional)
+                                 for fm in direct])
+                # g0 is a node: the same map, the same formula
+                assert scan[c] == pytest.approx(ll[c], rel=1e-14)
+                a = _refine_peak(g_values, scan)[0]
+                b = _refine_peak(g_values, ll)[0]
+                assert abs(a - b) < 1e-2 * sigma
 
 
 class TestFisher:
-    def test_finite_difference_robust(self, family):
-        a = fisher_information(family, delta_rel=5e-5)
-        b = fisher_information(family, delta_rel=1e-4)
-        assert a > 0
-        assert b == pytest.approx(a, rel=0.02)
+    def test_matches_central_difference(self, family):
+        info = fisher_information(family, rel_window=4e-4)
+        # oracle: central difference of the normalized cell masses of
+        # direct builds, with a step small enough that its truncation
+        # error (2.5e-4 here) stays well inside the tolerance
+        step = family.g0 * 1e-5
+        maps = [family.map_at(g, keep=False)
+                for g in (family.g0 - step, family.g0, family.g0 + step)]
+        m = [cell_masses(fm.density, fm.cell_area) for fm in maps]
+        mm, m0, mp = (x / x.sum() for x in m)
+        mask = (m0 > 1e-14) & (mm > 0.0) & (mp > 0.0)
+        score = (np.log(mp[mask]) - np.log(mm[mask])) / (2.0 * step)
+        assert info > 0
+        assert info == pytest.approx((m0[mask] * score * score).sum(),
+                                     rel=1e-2)
 
     def test_count_term_is_minor(self, family):
         p = family.map_at(family.g0).metadata["fraction"]

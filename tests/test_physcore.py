@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qfall.errors import DomainError
-from qfall.physcore import (CONSTANTS, PhysicalConstants, derive_scales,
-                            dimensionalize, nondimensionalize)
+from qfall.physcore import CONSTANTS, PhysicalConstants, derive_scales
 
 
 def test_reference_scale_values():
@@ -32,15 +31,6 @@ def test_octupling_g_halves_length():
     assert b.length == pytest.approx(a.length / 2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["length", "time", "energy", "velocity", "momentum"])
-def test_nondimensionalize_round_trip(kind):
-    s = derive_scales(23.0)
-    rng = np.random.default_rng(7)
-    x = rng.lognormal(size=32)
-    back = dimensionalize(nondimensionalize(x, kind, s), kind, s)
-    np.testing.assert_allclose(back, x, rtol=1e-15)
-
-
 def test_invalid_inputs_raise():
     with pytest.raises(DomainError):
         derive_scales(0.0)
@@ -48,8 +38,6 @@ def test_invalid_inputs_raise():
         derive_scales(-9.81)
     with pytest.raises(DomainError):
         derive_scales(float("nan"))
-    with pytest.raises(DomainError):
-        nondimensionalize(1.0, "area", derive_scales(9.81))
     with pytest.raises(DomainError):
         PhysicalConstants(positron_mass=CONSTANTS.atom_mass * 0.1)
     with pytest.raises(DomainError):
