@@ -275,7 +275,7 @@ class TestMapNodes:
 
 
 class TestFisher:
-    def test_matches_central_difference(self, family):
+    def test_finite_difference_robust(self, family):
         info = fisher_information(family, rel_window=4e-4)
         # oracle: central difference of the normalized cell masses of
         # direct builds, with a step small enough that its truncation

@@ -13,6 +13,28 @@ from qfall.source import (build_photodetach, build_trap, polar_nodes,
 EV = 1.602176634e-19
 
 
+def velocity_distribution(trap, photodetach, vx, vy, vz,
+                          n_polar=24, n_azimuth=16):
+    """Recoil-averaged velocity density after detachment (broadcasting).
+
+    Pi0(v) = sum_k w_k N3(v - v_r qhat_k; delta_v): the dipole-weighted shell
+    of radius v_r, as `recoil_quadrature` resolves it, convolved with the
+    isotropic trap Gaussian.
+    """
+    quad = recoil_quadrature(photodetach, n_polar, n_azimuth)
+    vx, vy, vz = np.broadcast_arrays(np.asarray(vx, float), np.asarray(vy, float),
+                                     np.asarray(vz, float))
+    dv = trap.velocity_spread
+    vr = photodetach.recoil_velocity
+    norm = (2.0 * math.pi * dv * dv) ** (-1.5)
+    out = np.zeros(vx.shape)
+    for qhat, w in zip(quad.directions, quad.weights):
+        d2 = ((vx - vr * qhat[0]) ** 2 + (vy - vr * qhat[1]) ** 2
+              + (vz - vr * qhat[2]) ** 2)
+        out += w * np.exp(-d2 / (2.0 * dv * dv))
+    return norm * out
+
+
 @pytest.fixture(scope="module")
 def trap():
     return build_trap(20e3)
@@ -160,3 +182,52 @@ class TestPolarMarginal:
         assert 2.0 * moment == pytest.approx(nodes.w_cos2, abs=1e-15)
         assert nodes.pol_angle == pytest.approx(
             math.atan2(pol[1], pol[0]), abs=1e-15)
+
+
+class TestVelocityDistribution:
+    def test_normalized_on_grid(self, trap, recoil):
+        vr = recoil.recoil_velocity
+        lim = vr + 8.0 * trap.velocity_spread
+        n = 121
+        ax = np.linspace(-lim, lim, n)
+        vx, vy, vz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+        pi0 = velocity_distribution(trap, recoil, vx, vy, vz)
+        total = np.trapezoid(np.trapezoid(np.trapezoid(pi0, ax), ax), ax)
+        assert total == pytest.approx(1.0, abs=1e-4)
+
+    def test_parity(self, trap, recoil):
+        v = np.asarray([0.3, 0.5, -0.2])
+        a = velocity_distribution(trap, recoil, *v)
+        b = velocity_distribution(trap, recoil, *(-v))
+        assert a == pytest.approx(b, rel=1e-12)
+
+    def test_anisotropy_follows_polarization(self, trap, recoil):
+        # pointwise values of the narrow shell need a direction rule finer
+        # than the angular kernel width delta_v / v_r
+        vr = recoil.recoil_velocity
+        fine = dict(n_polar=96, n_azimuth=128)
+        along = velocity_distribution(trap, recoil, 0.0, vr, 0.0, **fine)
+        across = velocity_distribution(trap, recoil, vr, 0.0, 0.0, **fine)
+        vert = velocity_distribution(trap, recoil, 0.0, 0.0, vr, **fine)
+        assert along > across
+        assert along > vert
+        # both perpendicular directions carry the same sin^2 weight
+        assert across == pytest.approx(vert, rel=1e-6)
+
+    def test_shell_radius(self, trap, recoil):
+        # along the polarization axis the density peaks near |v| = v_r
+        vr = recoil.recoil_velocity
+        vy = np.linspace(0.5 * vr, 1.5 * vr, 801)
+        pi0 = velocity_distribution(trap, recoil, 0.0, vy, 0.0,
+                                    n_polar=96, n_azimuth=128)
+        peak = vy[np.argmax(pi0)]
+        assert abs(peak - vr) < trap.velocity_spread
+
+    def test_kick_variant_single_gaussian(self, trap):
+        pd = build_photodetach(0.0, kick_velocity=0.8)
+        dv = trap.velocity_spread
+        v = np.asarray([0.1, 0.8 + 0.3 * dv, -0.05])
+        got = velocity_distribution(trap, pd, *v)
+        d2 = v[0] ** 2 + (v[1] - 0.8) ** 2 + v[2] ** 2
+        want = (2 * math.pi * dv * dv) ** -1.5 * math.exp(-d2 / (2 * dv * dv))
+        assert got == pytest.approx(want, rel=1e-12)
