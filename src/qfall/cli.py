@@ -4,7 +4,7 @@ Every subcommand resolves its configuration with the same precedence
 (flags > environment > config file > reference defaults), writes its data
 files with %.17g precision, and always leaves a `<command>_manifest.json`
 in the output directory recording status, config hash, seed, library
-versions, kernel engine, and wall time - also when the run fails.
+versions and wall time - also when the run fails.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .config import (RunConfig, build_components, config_dict, config_hash,
                      resolve_config)
 from .freefall import current_map_yt, fall_windows
@@ -31,14 +31,8 @@ from .source import polar_nodes
 
 def _versions() -> dict:
     import scipy
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "numba": numba_version,
-            "qfall": __version__}
+            "scipy": scipy.__version__, "qfall": __version__}
 
 
 def _write_json(path: str, obj) -> None:
@@ -291,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="config file (or QFALL_CONFIG)")
     common.add_argument("--out", help="output directory (or QFALL_OUT)")
     common.add_argument("--seed", type=int, help="RNG seed (or QFALL_SEED)")
-    common.add_argument("--engine", choices=("numba", "numpy"),
-                        help="kernel engine (or QFALL_JIT)")
     common.add_argument("--g", type=float, help="gravity override, m/s^2")
     common.add_argument("--n-max", dest="n_max", type=int,
                         help="number of bouncer modes")
@@ -361,8 +353,6 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.config or os.environ.get("QFALL_CONFIG"))
         cfg = _apply_overrides(cfg, args)
-        if args.engine:
-            kernels.set_engine(args.engine)
         manifest["config_hash"] = config_hash(cfg)
         manifest["config"] = config_dict(cfg)
         manifest["seed"] = cfg.seed
@@ -374,10 +364,6 @@ def main(argv=None) -> int:
         manifest["error"] = "%s: %s" % (type(exc).__name__, exc)
         print("error: %s" % exc, file=sys.stderr)
         code = 1
-    try:
-        manifest["engine"] = kernels.get_engine()
-    except Exception as exc:
-        manifest["engine"] = "unresolved (%s)" % exc
     manifest["versions"] = _versions()
     manifest["wall_time_s"] = time.perf_counter() - t0
     _write_json(os.path.join(

@@ -38,7 +38,7 @@ from .airy import SUPPORT_PAD, eigenfunction_matrix
 from .errors import ConfigError, DomainError
 from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
-from .kernels import get_engine, mode_chirp_sums, simpson_weights
+from .kernels import mode_chirp_sums, simpson_weights
 from .mirror import DiskGeometry, evolve_to_end_of_disk, time_above_mirror
 from .physcore import CONSTANTS, G_DEFAULT, GravScales, PhysicalConstants
 from .source import PhotodetachConfig, TrapConfig, polar_nodes
@@ -101,15 +101,14 @@ def _chirp_sums(chi_w, z, idx_cut, tau, detector_z, g: float,
 
 
 def _profile_sums(z, psi, tau, detector_z, g: float,
-                  constants: PhysicalConstants, weights):
-    """Chirp sums (SF, SG) of one sampled complex profile psi(z)."""
+                  constants: PhysicalConstants):
+    """Chirp sums (SF, SG) of one sampled complex profile psi(z), with
+    Simpson weights on z."""
     z = np.asarray(z, dtype=float)
     psi = np.asarray(psi, dtype=complex)
     if z.ndim != 1 or psi.shape != z.shape:
         raise DomainError("psi must be sampled on the 1d grid z")
-    if weights is None:
-        weights = simpson_weights(z.shape[0], float(z[1] - z[0]))
-    chi_w = psi * weights
+    chi_w = psi * simpson_weights(z.shape[0], float(z[1] - z[0]))
     # the real and imaginary parts ride through as two real rows
     F, G = _chirp_sums(np.stack([chi_w.real, chi_w.imag]), z,
                        np.full(2, z.shape[0], dtype=np.int64), tau,
@@ -118,7 +117,7 @@ def _profile_sums(z, psi, tau, detector_z, g: float,
 
 
 def propagate_profile(z, psi, tau: float, detector_z, g: float = G_DEFAULT,
-                      constants: PhysicalConstants = CONSTANTS, weights=None):
+                      constants: PhysicalConstants = CONSTANTS):
     """Propagate a sampled profile psi(z) through the fall.
 
     Returns (psi_det, vterm) at the detector points, where vterm is
@@ -126,8 +125,7 @@ def propagate_profile(z, psi, tau: float, detector_z, g: float = G_DEFAULT,
     with conj(psi_det) gives the probability current.
     """
     ctx = make_context(tau, detector_z, g, constants)
-    SF, SG = _profile_sums(z, psi, tau, ctx.detector_z, g, constants,
-                           weights)
+    SF, SG = _profile_sums(z, psi, tau, ctx.detector_z, g, constants)
     pref = math.sqrt(constants.atom_mass
                      / (2.0 * math.pi * constants.hbar * tau)) * np.exp(
         -0.25j * math.pi - 1j * ctx.phase)
@@ -141,12 +139,12 @@ def detection_rate(psi_det, vterm):
 
 def plane_current(z, psi, tau_values, detector_z: float,
                   g: float = G_DEFAULT,
-                  constants: PhysicalConstants = CONSTANTS, weights=None):
+                  constants: PhysicalConstants = CONSTANTS):
     """Detection rate of a profile at one plane for a batch of fall times."""
     tau = np.asarray(tau_values, dtype=float)
     if np.any(tau <= 0.0):
         raise DomainError("fall times must be positive")
-    SF, SG = _profile_sums(z, psi, tau, detector_z, g, constants, weights)
+    SF, SG = _profile_sums(z, psi, tau, detector_z, g, constants)
     return -(constants.atom_mass / (2.0 * math.pi * constants.hbar * tau)) \
         * np.real(np.conj(SF) * SG)
 
@@ -348,6 +346,14 @@ class FoldedMap:
         """Total bilinear mass Z of the lattice window, computed once."""
         return cell_masses(self.density, self.cell_area).sum()
 
+    @cached_property
+    def cell_cdf(self) -> np.ndarray:
+        """Cumulative cell masses over the raveled lattice cells, divided
+        by the last one: the sampler's cell CDF, computed once."""
+        cdf = np.cumsum(cell_masses(self.density, self.cell_area).ravel())
+        cdf /= cdf[-1]
+        return cdf
+
 
 class MapMaker:
     """Builds folded maps for many gravity values on one fixed lattice.
@@ -435,7 +441,7 @@ class MapMaker:
             ratio = np.clip(ratio, 0.0, 1.0)
         else:
             ratio = None
-        meta = {"fraction": fraction, "engine": get_engine(),
+        meta = {"fraction": fraction,
                 "clipped_mass": float(neg_mass / max(pos_mass, 1e-300)),
                 "n_z": int(self.mode_grid.xi.shape[0]), "n_tau": int(M),
                 "tau_lo": float(tau[0]), "tau_hi": float(tau[-1]),
@@ -520,7 +526,7 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
     neg = -density[density < 0.0].sum()
     pos = density[density > 0.0].sum()
     meta = {"clipped_mass": float(neg / max(pos, 1e-300)),
-            "engine": get_engine(), "n_z": int(grid.xi.shape[0])}
+            "n_z": int(grid.xi.shape[0])}
     return DetectorMap(g=basis.scales.g, y=y.copy(), T=T.copy(),
                        density=np.maximum(density, 0.0),
                        jacobian=spec.jacobian, metadata=meta)

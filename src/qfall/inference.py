@@ -51,6 +51,9 @@ NODE_TAIL = 1e-4
 MIN_NODES = 5
 MAX_NODES = 33
 
+# times `estimate_g` may double a window whose scan peaks on an edge
+MAX_WIDEN = 3
+
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """Counter-based stream keyed by (seed, replicate index).
@@ -149,19 +152,17 @@ def sample_events(fmap: FoldedMap, n_source: int,
     """
     if n_source < 0:
         raise DomainError("source count must be nonnegative")
-    masses = cell_masses(fmap.density, fmap.cell_area)
     if fmap.normalizer <= 0.0:
         raise DomainError("map carries no probability mass")
     p = min(fmap.metadata["fraction"], 1.0)
     n_det = int(rng.binomial(n_source, p))
 
-    cdf = np.cumsum(masses.ravel())
-    cdf /= cdf[-1]
+    cdf = fmap.cell_cdf
     idx = np.searchsorted(cdf, rng.random(n_det), side="right")
     idx = np.minimum(idx, cdf.shape[0] - 1)
-    i, j = np.unravel_index(idx, masses.shape)
-
     D = fmap.density
+    i, j = np.unravel_index(idx, (D.shape[0] - 1, D.shape[1] - 1))
+
     # marginal across t within the cell is linear with the edge means
     a = 0.5 * (D[i, j] + D[i, j + 1])
     b = 0.5 * (D[i + 1, j] + D[i + 1, j + 1])
@@ -193,20 +194,21 @@ def _event_cells(events: EventSet, fmap: FoldedMap):
 
 def _events_log_likelihood(events: EventSet, fmap: FoldedMap,
                            f: np.ndarray, inside: np.ndarray, Z, p,
-                           conditional: bool, floor: float):
+                           conditional: bool):
     """The per-event log-likelihood formula of every scoring path.
 
     f holds the events' bilinear densities along its last axis; Z (the
     window mass) and p (the transmitted fraction) carry f's leading axes,
     one value per scan point on the node path.  Events off the lattice
-    score zero density, and every density is floored at floor Z / span.
+    score zero density, and every density is floored at
+    DENSITY_FLOOR Z / span.
     """
     n = events.n_detected
     Z = np.asarray(Z)
     f = np.where(inside, f, 0.0)
     span = (fmap.t[-1] - fmap.t[0]) * (fmap.T[-1] - fmap.T[0])
-    ll = (np.log(np.maximum(f, (floor * Z / span)[..., None])).sum(axis=-1)
-          - n * np.log(Z))
+    floor = DENSITY_FLOOR * Z / span
+    ll = np.log(np.maximum(f, floor[..., None])).sum(axis=-1) - n * np.log(Z)
     if not conditional:
         p = np.minimum(p, 1.0)
         ll = ll + n * np.log(p) + (events.n_source - n) * np.log1p(-p)
@@ -214,8 +216,7 @@ def _events_log_likelihood(events: EventSet, fmap: FoldedMap,
 
 
 def log_likelihood(events: EventSet, fmap: FoldedMap,
-                   conditional: bool = True,
-                   floor: float = DENSITY_FLOOR) -> float:
+                   conditional: bool = True) -> float:
     """Log-likelihood of the event set under one map.
 
     Conditional (default): product of the per-event arrival densities
@@ -226,7 +227,7 @@ def log_likelihood(events: EventSet, fmap: FoldedMap,
     f = _bilinear_at(fmap.density, i, j, x, y)
     return float(_events_log_likelihood(
         events, fmap, f, inside, fmap.normalizer,
-        fmap.metadata["fraction"], conditional, floor))
+        fmap.metadata["fraction"], conditional))
 
 
 def _lobatto_points(n: int) -> np.ndarray:
@@ -342,7 +343,7 @@ class MapNodes:
         L = self.weights(g_values)                   # (n_scan, P)
         return _events_log_likelihood(
             events, self.center, L @ f, inside, L @ self.normalizer,
-            L @ self.fraction, conditional, DENSITY_FLOOR)
+            L @ self.fraction, conditional)
 
 
 class GridDensityFamily:
@@ -471,12 +472,11 @@ class GravityEstimate:
 
 def estimate_g(events: EventSet, family: GridDensityFamily,
                rel_window: float = 2e-4, n_scan: int = 41,
-               conditional: bool = True,
-               max_widen: int = 3) -> GravityEstimate:
+               conditional: bool = True) -> GravityEstimate:
     """Maximum-likelihood g from a scan plus parabolic refinement.
 
     The scan reads the family's node set over the window.  If the maximum
-    lands on a scan edge the window is doubled (up to max_widen times), with
+    lands on a scan edge the window is doubled (up to MAX_WIDEN times), with
     a node set built over the wider window, so a poorly guessed window
     cannot silently truncate the estimate.
     """
@@ -487,7 +487,7 @@ def estimate_g(events: EventSet, family: GridDensityFamily,
         g_values = _scan_lattice(family.g0, rel_window, n_scan)
         ll = family.nodes(rel_window).scan(events, g_values, conditional)
         g_hat, sigma, on_edge = _refine_peak(g_values, ll)
-        if not on_edge or widened >= max_widen:
+        if not on_edge or widened >= MAX_WIDEN:
             return GravityEstimate(value=g_hat, sigma=sigma,
                                    scan_g=g_values, scan_ll=ll,
                                    widened=widened)
@@ -496,8 +496,7 @@ def estimate_g(events: EventSet, family: GridDensityFamily,
 
 
 def fisher_information(family: GridDensityFamily, g: Optional[float] = None,
-                       rel_window: float = 2e-4,
-                       mass_floor: float = FISHER_MASS_FLOOR) -> float:
+                       rel_window: float = 2e-4) -> float:
     """Per-detected-event Fisher information of the arrival density.
 
     I = sum_c m_c (d log m_c / dg)^2 over the normalized cell masses above
@@ -512,7 +511,7 @@ def fisher_information(family: GridDensityFamily, g: Optional[float] = None,
     dm = cell_masses(np.tensordot(nodes.slope_weights(g), nodes.density,
                                   axes=1), area)
     Z = m.sum()
-    mask = m / Z > mass_floor
+    mask = m / Z > FISHER_MASS_FLOOR
     score = dm[mask] / m[mask] - dm.sum() / Z
     return float((m[mask] / Z * score * score).sum())
 

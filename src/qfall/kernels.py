@@ -1,4 +1,4 @@
-"""Hot numerical kernels with a jit engine and a vectorized fallback.
+"""Hot numerical kernel: the chirped mode sums as dense matrix products.
 
 The free-fall map needs, for every lattice time tau_k, the chirped mode sums
 
@@ -7,71 +7,23 @@ The free-fall map needs, for every lattice time tau_k, the chirped mode sums
               * ((zprime_k - z_j) * invtau_k - gtau_k)
 
 where chi_w carries the mode profiles with quadrature weights folded in.
-Two implementations are provided: a numba-compiled parallel loop that skips
-each mode's zero tail (`idx_cut`), and a chunked numpy path that maps the
-same work onto dense matrix products.  `QFALL_JIT` picks the default engine
-(0/numpy forces the fallback, 1/numba requires the jit), `set_engine`
-overrides it at runtime, and both implementations stay importable so they can
-be checked against each other.
+`mode_chirp_sums` chunks the lattice axis and maps the work onto real
+matrix products over the whole z grid; each mode's cut at `idx_cut` is
+carried by the zero tail of its chi_w row.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError, DomainError
-
-try:
-    from numba import njit, prange
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    prange = range
+from .errors import DomainError
 
 _CHUNK_ROWS = 64
-_engine: str | None = None
-
-
-def _engine_from_env() -> str:
-    raw = os.environ.get("QFALL_JIT", "").strip().lower()
-    if raw in ("", "auto"):
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if raw in ("0", "off", "false", "numpy"):
-        return "numpy"
-    if raw in ("1", "on", "true", "numba"):
-        if not NUMBA_AVAILABLE:
-            raise ConfigError("QFALL_JIT requests the jit engine but numba "
-                              "is not importable")
-        return "numba"
-    raise ConfigError(f"unrecognized QFALL_JIT value {raw!r}")
 
 
 def get_engine() -> str:
-    global _engine
-    if _engine is None:
-        _engine = _engine_from_env()
-    return _engine
-
-
-def set_engine(name: str) -> None:
-    global _engine
-    if name not in ("numpy", "numba"):
-        raise ConfigError(f"unknown engine {name!r}, expected numpy or numba")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ConfigError("numba engine requested but numba is not importable")
-    _engine = name
+    """The one chirp engine, "numpy" (kept for callers that record it)."""
+    return "numpy"
 
 
 def simpson_weights(count: int, step: float) -> np.ndarray:
@@ -98,20 +50,20 @@ def _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
             raise DomainError("lattice parameter arrays must share one shape")
 
 
-def mode_chirp_sums_numpy(chi_w, z, idx_cut, alpha, zprime, invtau, gtau,
-                          chunk: int = _CHUNK_ROWS):
-    """Fallback path: chunk the lattice axis and use dense matrix products.
+def mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
+    """F, G of shape (K, n_modes) for the K lattice times of alpha.
 
-    The per-mode cut is realized by the zero tails already present in chi_w,
-    so the products run over the full grid.
+    The lattice axis runs in chunks of `_CHUNK_ROWS` rows, each a set of
+    dense products over the full z grid; chi_w must already be zero past
+    each mode's `idx_cut`.
     """
     _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau)
     K, N = alpha.shape[0], chi_w.shape[0]
     F = np.empty((K, N), dtype=np.complex128)
     G = np.empty((K, N), dtype=np.complex128)
     chi_t = np.ascontiguousarray(chi_w.T)
-    for k0 in range(0, K, chunk):
-        sl = slice(k0, min(k0 + chunk, K))
+    for k0 in range(0, K, _CHUNK_ROWS):
+        sl = slice(k0, min(k0 + _CHUNK_ROWS, K))
         d = zprime[sl][:, None] - z[None, :]
         ph = alpha[sl][:, None] * d * d
         c = np.cos(ph)
@@ -120,68 +72,3 @@ def mode_chirp_sums_numpy(chi_w, z, idx_cut, alpha, zprime, invtau, gtau,
         F[sl] = (c @ chi_t) + 1j * (s @ chi_t)
         G[sl] = ((c * v) @ chi_t) + 1j * ((s * v) @ chi_t)
     return F, G
-
-
-@njit(parallel=True, cache=True, fastmath=True)
-def _chirp_sums_jit(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
-    K = alpha.shape[0]
-    N = chi_w.shape[0]
-    J = z.shape[0]
-    Fr = np.zeros((K, N))
-    Fi = np.zeros((K, N))
-    Gr = np.zeros((K, N))
-    Gi = np.zeros((K, N))
-    for k in prange(K):
-        c = np.empty(J)
-        s = np.empty(J)
-        v = np.empty(J)
-        a = alpha[k]
-        zp = zprime[k]
-        it = invtau[k]
-        gt = gtau[k]
-        for j in range(J):
-            d = zp - z[j]
-            ph = a * d * d
-            c[j] = np.cos(ph)
-            s[j] = np.sin(ph)
-            v[j] = d * it - gt
-        for n in range(N):
-            fr = 0.0
-            fi = 0.0
-            gr = 0.0
-            gi = 0.0
-            for j in range(idx_cut[n]):
-                w = chi_w[n, j]
-                wc = w * c[j]
-                ws = w * s[j]
-                fr += wc
-                fi += ws
-                gr += wc * v[j]
-                gi += ws * v[j]
-            Fr[k, n] = fr
-            Fi[k, n] = fi
-            Gr[k, n] = gr
-            Gi[k, n] = gi
-    return Fr, Fi, Gr, Gi
-
-
-def mode_chirp_sums_numba(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
-    """Jit path: parallel over the lattice, truncating each mode at its cut."""
-    if not NUMBA_AVAILABLE:
-        raise ConfigError("numba engine requested but numba is not importable")
-    _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau)
-    Fr, Fi, Gr, Gi = _chirp_sums_jit(
-        np.ascontiguousarray(chi_w), np.ascontiguousarray(z),
-        np.ascontiguousarray(idx_cut, dtype=np.int64),
-        np.ascontiguousarray(alpha), np.ascontiguousarray(zprime),
-        np.ascontiguousarray(invtau), np.ascontiguousarray(gtau))
-    return Fr + 1j * Fi, Gr + 1j * Gi
-
-
-def mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
-    """Dispatch the chirped mode sums to the active engine."""
-    if get_engine() == "numba":
-        return mode_chirp_sums_numba(chi_w, z, idx_cut, alpha, zprime,
-                                     invtau, gtau)
-    return mode_chirp_sums_numpy(chi_w, z, idx_cut, alpha, zprime,
-                                 invtau, gtau)

@@ -13,7 +13,6 @@ import pytest
 
 import qfall.cli as cli
 import qfall.gqs as gqs
-import qfall.kernels as kernels
 from qfall.cli import _read_events_csv, main
 from qfall.config import build_components, parse_config
 from qfall.inference import NODE_TAIL
@@ -27,13 +26,6 @@ inference.seed = 42
 inference.n_scan = 11
 inference.rel_window = 1e-4
 """
-
-
-@pytest.fixture()
-def engine_guard():
-    saved = kernels._engine
-    yield
-    kernels._engine = saved
 
 
 @pytest.fixture()
@@ -61,7 +53,6 @@ class TestLightCommands:
         man = _manifest(out, "scales")
         assert man["status"] == "ok"
         assert man["outputs"] == ["scales.json"]
-        assert man["engine"] in ("numba", "numpy")
         assert len(man["config_hash"]) == 64
         assert man["versions"]["numpy"] == np.__version__
 
@@ -268,11 +259,6 @@ class TestFailureAndPrecedence:
         monkeypatch.setenv("QFALL_CONFIG", desk_cfg)
         assert main(["scales", "--out", out]) == 0
         assert _manifest(out, "scales")["config"]["n_max"] == 50
-
-    def test_engine_flag_recorded(self, tmp_path, engine_guard):
-        out = str(tmp_path)
-        assert main(["scales", "--out", out, "--engine", "numpy"]) == 0
-        assert _manifest(out, "scales")["engine"] == "numpy"
 
     def test_gravity_flag_overrides(self, tmp_path):
         out = str(tmp_path)

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-import qfall.kernels as kernels
 from qfall.airy import eigenfunction, momentum_matrix
 from qfall.errors import ConfigError, DomainError
 from qfall.freefall import (GridSpec, MapMaker, _build_mode_grid, _node_rates,
@@ -199,17 +198,15 @@ class TestFoldedMap:
                  * GEO.travel_distance * T / t ** 2)
         assert fm.density[i, j] == pytest.approx(brute, rel=1e-4)
 
-    def test_engines_agree(self, trap, recoil):
-        pytest.importorskip("numba")
-        saved = kernels._engine
-        try:
-            kernels.set_engine("numpy")
-            a = build_folded_map(N_DESK, trap, recoil, GEO)
-            kernels.set_engine("numba")
-            b = build_folded_map(N_DESK, trap, recoil, GEO)
-        finally:
-            kernels._engine = saved
-        assert np.abs(a.density - b.density).max() < 1e-10 * a.density.max()
+    def test_mode_grid_zeroes_tails(self, basis, trap, recoil):
+        # the chirp kernel sums every mode over the whole z grid, so each
+        # mode's support cut must be carried by zeros in its chi row
+        tau = grid_axes(basis, trap, recoil, GEO).tau_values
+        grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
+        assert grid.idx_cut.min() < grid.xi.shape[0]
+        for n, cut in enumerate(grid.idx_cut):
+            assert grid.chi[n, :cut].any()
+            assert not grid.chi[n, cut:].any()
 
     def test_z_refinement_stable(self, trap, recoil, desk_map):
         fine = build_folded_map(N_DESK, trap, recoil, GEO,

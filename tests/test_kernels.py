@@ -1,4 +1,4 @@
-"""Chirped mode-sum kernels: engines agree, sums integrate correctly."""
+"""Chirped mode-sum kernel: explicit truncated sums, quadrature oracle."""
 
 import math
 
@@ -6,17 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import qfall.kernels as kernels
-from qfall.errors import ConfigError, DomainError
-from qfall.kernels import (mode_chirp_sums, mode_chirp_sums_numba,
-                           mode_chirp_sums_numpy, simpson_weights)
-
-
-@pytest.fixture
-def engine_guard():
-    saved = kernels._engine
-    yield
-    kernels._engine = saved
+from qfall.errors import DomainError
+from qfall.kernels import mode_chirp_sums, simpson_weights
 
 
 def make_problem(n_modes=24, n_z=4097, seed=7):
@@ -54,90 +45,38 @@ class TestSimpsonWeights:
 
 
 class TestEngines:
-    def test_cross_implementation_agreement(self):
-        pytest.importorskip("numba")
-        args = make_problem()
-        chi_w = args[0]
-        f_np, g_np = mode_chirp_sums_numpy(*args)
-        f_nb, g_nb = mode_chirp_sums_numba(*args)
-        budget = np.sum(np.abs(chi_w), axis=1)  # cancellation-safe scale
-        assert np.abs(f_np - f_nb).max(axis=0) == pytest.approx(
-            np.zeros(chi_w.shape[0]), abs=1e-12 * budget.max())
-        assert np.abs(g_np - g_nb).max() < 1e-11 * budget.max()
-
-    def test_numba_deterministic(self):
-        pytest.importorskip("numba")
-        args = make_problem(n_modes=8, n_z=1025)
-        f1, g1 = mode_chirp_sums_numba(*args)
-        f2, g2 = mode_chirp_sums_numba(*args)
-        assert np.array_equal(f1, f2)
-        assert np.array_equal(g1, g2)
-
-    def test_dispatch_follows_engine(self, engine_guard):
-        args = make_problem(n_modes=4, n_z=513)
-        kernels.set_engine("numpy")
-        f_a, _ = mode_chirp_sums(*args)
-        f_ref, _ = mode_chirp_sums_numpy(*args)
-        assert np.array_equal(f_a, f_ref)
-        if kernels.NUMBA_AVAILABLE:
-            kernels.set_engine("numba")
-            f_b, _ = mode_chirp_sums(*args)
-            f_nb, _ = mode_chirp_sums_numba(*args)
-            assert np.array_equal(f_b, f_nb)
-        else:
-            # a refused switch leaves the numpy engine in place
-            with pytest.raises(ConfigError):
-                kernels.set_engine("numba")
-            assert kernels.get_engine() == "numpy"
-            f_b, _ = mode_chirp_sums(*args)
-            assert np.array_equal(f_b, f_ref)
+    """The one chirp engine, `mode_chirp_sums`."""
 
     def test_cut_matches_explicit_zeroing(self):
-        chi_w, z, idx_cut, *rest = make_problem(n_modes=6, n_z=2049)
-        full_cut = np.full(6, z.shape[0], dtype=np.int64)
-        # the truncating loop itself: compiled with numba, plain Python
-        # through the module's fallback njit without it
-        fr_a, fi_a, gr_a, gi_a = kernels._chirp_sums_jit(chi_w, z, idx_cut,
-                                                         *rest)
-        fr_b, fi_b, gr_b, gi_b = kernels._chirp_sums_jit(chi_w, z, full_cut,
-                                                         *rest)
-        # tails are already zero in chi_w, so the cut must not change values
+        chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(
+            n_modes=6, n_z=2049)
+        F, G = mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau,
+                               gtau)
+        # each mode summed only below its cut: the dense products run over
+        # the zero tails of chi_w and must give the same sums
+        want_f = np.empty_like(F)
+        want_g = np.empty_like(G)
+        for n, cut in enumerate(idx_cut):
+            d = zprime[:, None] - z[None, :cut]
+            e = chi_w[n, :cut] * np.exp(1j * alpha[:, None] * d * d)
+            want_f[:, n] = e.sum(axis=1)
+            want_g[:, n] = (e * (d * invtau[:, None]
+                                 - gtau[:, None])).sum(axis=1)
         budget = np.sum(np.abs(chi_w))
-        assert np.abs(fr_a - fr_b).max() < 1e-13 * budget
-        assert np.abs(fi_a - fi_b).max() < 1e-13 * budget
-        assert np.abs(gr_a - gr_b).max() < 1e-12 * budget
-        assert np.abs(gi_a - gi_b).max() < 1e-12 * budget
-
-    def test_engine_selection_errors(self, engine_guard):
-        with pytest.raises(ConfigError):
-            kernels.set_engine("fortran")
-
-    def test_env_parsing(self, engine_guard, monkeypatch):
-        monkeypatch.setenv("QFALL_JIT", "0")
-        assert kernels._engine_from_env() == "numpy"
-        monkeypatch.setenv("QFALL_JIT", "numba")
-        if kernels.NUMBA_AVAILABLE:
-            assert kernels._engine_from_env() == "numba"
-        else:
-            with pytest.raises(ConfigError):
-                kernels._engine_from_env()
-        monkeypatch.setenv("QFALL_JIT", "auto")
-        want = "numba" if kernels.NUMBA_AVAILABLE else "numpy"
-        assert kernels._engine_from_env() == want
-        monkeypatch.setenv("QFALL_JIT", "sometimes")
-        with pytest.raises(ConfigError):
-            kernels._engine_from_env()
+        assert np.abs(F.real - want_f.real).max() < 1e-13 * budget
+        assert np.abs(F.imag - want_f.imag).max() < 1e-13 * budget
+        assert np.abs(G.real - want_g.real).max() < 1e-12 * budget
+        assert np.abs(G.imag - want_g.imag).max() < 1e-12 * budget
 
     def test_shape_validation(self):
         chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(4, 513)
         with pytest.raises(DomainError):
-            mode_chirp_sums_numpy(chi_w, z[:-1], idx_cut, alpha, zprime,
-                                  invtau, gtau)
+            mode_chirp_sums(chi_w, z[:-1], idx_cut, alpha, zprime, invtau,
+                            gtau)
         bad_cut = idx_cut.copy()
         bad_cut[0] = z.shape[0] + 5
         with pytest.raises(DomainError):
-            mode_chirp_sums_numpy(chi_w, z, bad_cut, alpha, zprime, invtau,
-                                  gtau)
+            mode_chirp_sums(chi_w, z, bad_cut, alpha, zprime, invtau, gtau)
 
 
 class TestQuadratureOracle:
@@ -154,8 +93,8 @@ class TestQuadratureOracle:
         zprime = np.asarray([0.3])
         invtau = np.asarray([2.0])
         gtau = np.asarray([0.7])
-        F, G = mode_chirp_sums_numpy(chi_w, z, idx_cut, alpha, zprime,
-                                     invtau, gtau)
+        F, G = mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau,
+                               gtau)
 
         def fre(x):
             return math.exp(-((x - 0.42) / 0.11) ** 2) * math.cos(
