@@ -31,6 +31,8 @@ from .physcore import CONSTANTS, GravScales
 SUPPORT_PAD = 15.0
 #: Default absorber edge over the largest retained mode.
 Z_MAX_PAD = 10.0
+#: Momentum-transform quadrature points per fastest Airy or Fourier period.
+MOMENTUM_SAMPLES = 12.0
 
 
 def airy_zero_guess(n):
@@ -111,10 +113,10 @@ def eigenfunction_matrix(table: AiryZeroTable, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _momentum_quadrature_grid(lam: float, w_max: float, samples: float):
+def _momentum_quadrature_grid(lam: float, w_max: float):
     """Uniform Simpson grid resolving both Airy and Fourier oscillations."""
     span = lam + SUPPORT_PAD
-    step = 2.0 * np.pi / (max(math.sqrt(lam), w_max, 1e-9) * samples)
+    step = 2.0 * np.pi / (max(math.sqrt(lam), w_max, 1e-9) * MOMENTUM_SAMPLES)
     npts = int(math.ceil(span / step)) + 1
     if npts % 2 == 0:
         npts += 1
@@ -122,13 +124,13 @@ def _momentum_quadrature_grid(lam: float, w_max: float, samples: float):
     return xi, simpson_weights(npts, xi[1] - xi[0])
 
 
-def eigenfunction_momentum(n: int, p, table: AiryZeroTable, scales: GravScales,
-                           samples: float = 12.0):
+def eigenfunction_momentum(n: int, p, table: AiryZeroTable,
+                           scales: GravScales):
     """chi_tilde_n(p) by direct quadrature (p scalar or array, SI)."""
     lam = table.lam(n)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     w = p * scales.length / CONSTANTS.hbar  # dimensionless frequency
-    xi, wts = _momentum_quadrature_grid(lam, float(np.max(np.abs(w))), samples)
+    xi, wts = _momentum_quadrature_grid(lam, float(np.max(np.abs(w))))
     a = sps.airy(xi - lam)[0] / table.ai_prime[n - 1]
     phase = np.exp(-1j * np.outer(w, xi))
     t = phase @ (wts * a)
@@ -137,8 +139,8 @@ def eigenfunction_momentum(n: int, p, table: AiryZeroTable, scales: GravScales,
     return out if out.size > 1 else out[0]
 
 
-def momentum_matrix(table: AiryZeroTable, p: np.ndarray, scales: GravScales,
-                    samples: float = 12.0) -> np.ndarray:
+def momentum_matrix(table: AiryZeroTable, p: np.ndarray,
+                    scales: GravScales) -> np.ndarray:
     """chi_tilde_n on a shared momentum grid, rows n = 1..n_max.
 
     One common Simpson grid (sized for the largest mode and frequency) serves
@@ -147,7 +149,7 @@ def momentum_matrix(table: AiryZeroTable, p: np.ndarray, scales: GravScales,
     p = np.asarray(p, dtype=float)
     w = p * scales.length / CONSTANTS.hbar
     lam_top = float(table.values[-1])
-    xi, wts = _momentum_quadrature_grid(lam_top, float(np.max(np.abs(w))), samples)
+    xi, wts = _momentum_quadrature_grid(lam_top, float(np.max(np.abs(w))))
     aw = eigenfunction_matrix(table, xi) * wts
     ec = np.cos(np.outer(xi, w))
     es = np.sin(np.outer(xi, w))

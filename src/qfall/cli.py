@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import (RunConfig, build_components, config_dict, config_hash,
                      resolve_config)
-from .freefall import current_map_yt, fall_windows
+from .freefall import build_folded_map, current_map_yt, fall_windows
 from .gqs import build_basis, classical_cutoff_velocity, overlap_matrix
 from .inference import (EventSet, GridDensityFamily, count_information,
                         cramer_rao_sigma, estimate_g, fisher_information,
@@ -205,8 +205,7 @@ def _cmd_current_map(cfg, args, out_dir):
     resolved = {"ny": args.ny, "nT": args.nT, "windows": win,
                 "n_z": dm.metadata["n_z"]}
     if args.folded:
-        fam = _family(cfg)
-        fm = fam.map_at(cfg.g)
+        fm = build_folded_map(cfg.n_max, trap, pd, geom, spec, g=cfg.g)
         tt, TT2 = np.meshgrid(fm.t, fm.T, indexing="ij")
         _write_csv(os.path.join(out_dir, "folded_map.csv"),
                    {"g_mps2": "%.17g" % cfg.g, "jacobian": fm.jacobian,

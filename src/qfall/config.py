@@ -9,12 +9,17 @@ sha256 of that text identifies the physics of a run in every manifest.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from .errors import ConfigError
+from .freefall import GridSpec
+from .mirror import DiskGeometry
+from .physcore import CONSTANTS, G_DEFAULT
+from .source import build_photodetach, build_trap
 
-_EV = 1.602176634e-19
+_EV = CONSTANTS.electron_volt
 
 UNIT_SCALES = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
@@ -44,15 +49,15 @@ class RunConfig:
     release_height: float = 10e-6
     travel_distance: float = 50e-3
     fall_height: float = 0.3
-    g: float = 9.81
+    g: float = G_DEFAULT
     n_max: int = 1000
-    fringe_samples: float = 5.0
-    t_nodes: int = 56
-    z_samples: float = 12.0
-    n_polar: int = 24
-    horizontal_sigmas: float = 4.0
-    vertical_pad_scales: float = 4.0
-    jacobian: str = "tau"
+    fringe_samples: float = GridSpec.fringe_samples
+    t_nodes: int = GridSpec.t_nodes
+    z_samples: float = GridSpec.z_samples
+    n_polar: int = GridSpec.n_polar
+    horizontal_sigmas: float = GridSpec.horizontal_sigmas
+    vertical_pad_scales: float = GridSpec.vertical_pad_scales
+    jacobian: str = GridSpec.jacobian
     likelihood: str = "conditional"
     n_source: int = 20000
     n_replicates: int = 40
@@ -99,9 +104,12 @@ def _fail(line_no: int, key: str, reason: str):
 
 def _parse_number(token: str, line_no: int, key: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         _fail(line_no, key, "cannot read number %r" % token)
+    if not math.isfinite(value):
+        _fail(line_no, key, "number %r is not finite" % token)
+    return value
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -178,6 +186,7 @@ def _validate(cfg: RunConfig):
     if cfg.n_scan < 5 or cfg.n_scan % 2 == 0:
         raise ConfigError("inference.n_scan must be an odd count of at "
                           "least 5")
+    _grid_spec(cfg)
 
 
 def load_config(path: str) -> RunConfig:
@@ -228,12 +237,16 @@ def resolve_config(path: Optional[str]) -> RunConfig:
     return load_config(path)
 
 
+def _grid_spec(cfg: RunConfig) -> GridSpec:
+    return GridSpec(fringe_samples=cfg.fringe_samples, t_nodes=cfg.t_nodes,
+                    horizontal_sigmas=cfg.horizontal_sigmas,
+                    vertical_pad_scales=cfg.vertical_pad_scales,
+                    z_samples=cfg.z_samples, n_polar=cfg.n_polar,
+                    jacobian=cfg.jacobian)
+
+
 def build_components(cfg: RunConfig):
     """Instantiate (trap, photodetach, geometry, grid spec) from a config."""
-    from .freefall import GridSpec
-    from .mirror import DiskGeometry
-    from .source import build_photodetach, build_trap
-
     trap = build_trap(cfg.frequency)
     photodetach = build_photodetach(cfg.detachment_energy,
                                     polarization=cfg.polarization,
@@ -241,9 +254,4 @@ def build_components(cfg: RunConfig):
     geometry = DiskGeometry(release_height=cfg.release_height,
                             travel_distance=cfg.travel_distance,
                             fall_height=cfg.fall_height)
-    spec = GridSpec(fringe_samples=cfg.fringe_samples, t_nodes=cfg.t_nodes,
-                    horizontal_sigmas=cfg.horizontal_sigmas,
-                    vertical_pad_scales=cfg.vertical_pad_scales,
-                    z_samples=cfg.z_samples, n_polar=cfg.n_polar,
-                    jacobian=cfg.jacobian)
-    return trap, photodetach, geometry, spec
+    return trap, photodetach, geometry, _grid_spec(cfg)

@@ -22,7 +22,9 @@ unfolded density on a (Y, T) cut through the detector plane), and
 `annihilation_current` (a brute-force spot value summing explicit kick
 directions, kept as an independent cross-check of the folded assembly).
 All three take their recoil nodes from `source.polar_nodes`, their mode
-sums from `ModeGrid.fall_sums` and their per-node rates from `_node_rates`.
+sums from `ModeGrid.fall_sums` and their per-node rates from `_node_rates`;
+the spot value takes its kick directions and dipole weights from
+`source.recoil_quadrature`.
 """
 
 from __future__ import annotations
@@ -40,20 +42,22 @@ from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
 from .kernels import mode_chirp_sums, simpson_weights
 from .mirror import DiskGeometry, evolve_to_end_of_disk, time_above_mirror
-from .physcore import CONSTANTS, G_DEFAULT, GravScales, PhysicalConstants
-from .source import PhotodetachConfig, TrapConfig, polar_nodes
+from .physcore import CONSTANTS, G_DEFAULT, GravScales
+from .source import (DEFAULT_AZIMUTH_NODES, DEFAULT_POLAR_NODES,
+                     PhotodetachConfig, TrapConfig, polar_nodes,
+                     recoil_quadrature)
 
 
 # ---------------------------------------------------------------------------
 # propagator and generic profile propagation (also the tests' entry points)
 
-def propagator_kernel(z_to, z_from, tau: float, g: float = G_DEFAULT,
-                      constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def propagator_kernel(z_to, z_from, tau: float,
+                      g: float = G_DEFAULT) -> np.ndarray:
     """Exact kernel K_g(z_to, z_from; tau) with broadcasting arguments."""
     if tau <= 0.0:
         raise DomainError("propagation time must be positive")
-    m = constants.atom_mass
-    hbar = constants.hbar
+    m = CONSTANTS.atom_mass
+    hbar = CONSTANTS.hbar
     zt = np.asarray(z_to, dtype=float)
     zf = np.asarray(z_from, dtype=float)
     action = ((zt - zf) ** 2 / (2.0 * tau)
@@ -74,20 +78,19 @@ class PropagationContext:
     phase: np.ndarray  # Phi, the z-independent part
 
 
-def make_context(tau: float, detector_z, g: float = G_DEFAULT,
-                 constants: PhysicalConstants = CONSTANTS) -> PropagationContext:
+def make_context(tau: float, detector_z,
+                 g: float = G_DEFAULT) -> PropagationContext:
     if tau <= 0.0:
         raise DomainError("propagation time must be positive")
     Z = np.atleast_1d(np.asarray(detector_z, dtype=float))
     zprime = Z + 0.5 * g * tau * tau
-    phi = (constants.atom_mass * g * tau / constants.hbar) * (
+    phi = (CONSTANTS.atom_mass * g * tau / CONSTANTS.hbar) * (
         Z + g * tau * tau / 6.0)
     return PropagationContext(tau=tau, gravity=g, detector_z=Z,
                               zprime=zprime, phase=phi)
 
 
-def _chirp_sums(chi_w, z, idx_cut, tau, detector_z, g: float,
-                constants: PhysicalConstants):
+def _chirp_sums(chi_w, z, idx_cut, tau, detector_z, g: float):
     """F, G of `mode_chirp_sums` for fall times tau to heights detector_z.
 
     tau and detector_z broadcast to one lattice; the free kernel is taken
@@ -95,13 +98,12 @@ def _chirp_sums(chi_w, z, idx_cut, tau, detector_z, g: float,
     """
     tau, Z = np.broadcast_arrays(np.asarray(tau, dtype=float),
                                  np.asarray(detector_z, dtype=float))
-    alpha = constants.atom_mass / (2.0 * constants.hbar * tau)
+    alpha = CONSTANTS.atom_mass / (2.0 * CONSTANTS.hbar * tau)
     return mode_chirp_sums(chi_w, z, idx_cut, alpha, Z + 0.5 * g * tau * tau,
                            1.0 / tau, g * tau)
 
 
-def _profile_sums(z, psi, tau, detector_z, g: float,
-                  constants: PhysicalConstants):
+def _profile_sums(z, psi, tau, detector_z, g: float):
     """Chirp sums (SF, SG) of one sampled complex profile psi(z), with
     Simpson weights on z."""
     z = np.asarray(z, dtype=float)
@@ -112,22 +114,21 @@ def _profile_sums(z, psi, tau, detector_z, g: float,
     # the real and imaginary parts ride through as two real rows
     F, G = _chirp_sums(np.stack([chi_w.real, chi_w.imag]), z,
                        np.full(2, z.shape[0], dtype=np.int64), tau,
-                       detector_z, g, constants)
+                       detector_z, g)
     return F[:, 0] + 1j * F[:, 1], G[:, 0] + 1j * G[:, 1]
 
 
-def propagate_profile(z, psi, tau: float, detector_z, g: float = G_DEFAULT,
-                      constants: PhysicalConstants = CONSTANTS):
+def propagate_profile(z, psi, tau: float, detector_z, g: float = G_DEFAULT):
     """Propagate a sampled profile psi(z) through the fall.
 
     Returns (psi_det, vterm) at the detector points, where vterm is
     (hbar / i m) d(psi_det)/dZ, the velocity-weighted amplitude whose product
     with conj(psi_det) gives the probability current.
     """
-    ctx = make_context(tau, detector_z, g, constants)
-    SF, SG = _profile_sums(z, psi, tau, ctx.detector_z, g, constants)
-    pref = math.sqrt(constants.atom_mass
-                     / (2.0 * math.pi * constants.hbar * tau)) * np.exp(
+    ctx = make_context(tau, detector_z, g)
+    SF, SG = _profile_sums(z, psi, tau, ctx.detector_z, g)
+    pref = math.sqrt(CONSTANTS.atom_mass
+                     / (2.0 * math.pi * CONSTANTS.hbar * tau)) * np.exp(
         -0.25j * math.pi - 1j * ctx.phase)
     return pref * SF, pref * SG
 
@@ -138,14 +139,13 @@ def detection_rate(psi_det, vterm):
 
 
 def plane_current(z, psi, tau_values, detector_z: float,
-                  g: float = G_DEFAULT,
-                  constants: PhysicalConstants = CONSTANTS):
+                  g: float = G_DEFAULT):
     """Detection rate of a profile at one plane for a batch of fall times."""
     tau = np.asarray(tau_values, dtype=float)
     if np.any(tau <= 0.0):
         raise DomainError("fall times must be positive")
-    SF, SG = _profile_sums(z, psi, tau, detector_z, g, constants)
-    return -(constants.atom_mass / (2.0 * math.pi * constants.hbar * tau)) \
+    SF, SG = _profile_sums(z, psi, tau, detector_z, g)
+    return -(CONSTANTS.atom_mass / (2.0 * math.pi * CONSTANTS.hbar * tau)) \
         * np.real(np.conj(SF) * SG)
 
 
@@ -161,7 +161,7 @@ class GridSpec:
     horizontal_sigmas: float = 4.0    # half-width of the landing-speed window
     vertical_pad_scales: float = 4.0  # extra velocity cut in units of v_g
     z_samples: float = 12.0           # samples per shortest z wavelength
-    n_polar: int = 24                 # Gauss-Legendre nodes in the recoil tilt
+    n_polar: int = DEFAULT_POLAR_NODES  # Gauss-Legendre nodes in the tilt
     jacobian: str = "tau"             # 'tau' (as printed) or 'T' (flux exact)
 
     def __post_init__(self):
@@ -169,6 +169,13 @@ class GridSpec:
             raise ConfigError("jacobian must be 'tau' or 'T'")
         if self.fringe_samples < 2.0:
             raise ConfigError("need at least 2 samples per fringe")
+        if not self.z_samples >= 2.0:
+            raise ConfigError("z_samples: need at least 2 samples per z "
+                              "wavelength")
+        if not (self.horizontal_sigmas >= 0.0
+                and self.vertical_pad_scales >= 0.0):
+            raise ConfigError("horizontal_sigmas and vertical_pad_scales "
+                              "must be nonnegative")
         if self.t_nodes < 8:
             raise ConfigError("need at least 8 release-time nodes")
 
@@ -245,13 +252,12 @@ class ModeGrid:
     chi: np.ndarray      # (n_max, J) Ai(xi - lambda_n) / Ai'(-lambda_n)
     idx_cut: np.ndarray  # per-mode sample count up to the support cut
 
-    def fall_sums(self, scales: GravScales, geometry: DiskGeometry, tau,
-                  constants: PhysicalConstants):
+    def fall_sums(self, scales: GravScales, geometry: DiskGeometry, tau):
         """Mode sums F, G, shape (K, n_max), for the fall times tau (K,)."""
         ell = scales.length
         chi_w = self.chi * (self.wxi * math.sqrt(ell))[None, :]
         return _chirp_sums(chi_w, self.xi * ell, self.idx_cut, tau,
-                           -geometry.fall_height, scales.g, constants)
+                           -geometry.fall_height, scales.g)
 
 
 def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
@@ -282,8 +288,7 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
 
 
 def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
-                G: np.ndarray, tau: np.ndarray,
-                constants: PhysicalConstants) -> np.ndarray:
+                G: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF) SG).
 
     SF = sum_n c~_n F_n with c~ the overlaps `coeff` (n_u, N) evolved over
@@ -298,7 +303,7 @@ def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
         t = np.asarray(t)[:, None]
         SF = (evolve_to_end_of_disk(basis, F, t) @ coeff.T).T
         SG = (evolve_to_end_of_disk(basis, G, t) @ coeff.T).T
-    return -(constants.atom_mass / (2.0 * math.pi * constants.hbar)) \
+    return -(CONSTANTS.atom_mass / (2.0 * math.pi * CONSTANTS.hbar)) \
         * (1.0 / tau) * np.real(np.conj(SF) * SG)
 
 
@@ -365,16 +370,14 @@ class MapMaker:
 
     def __init__(self, n_max: int, trap: TrapConfig,
                  photodetach: PhotodetachConfig, geometry: DiskGeometry,
-                 spec: GridSpec = GridSpec(), g0: float = G_DEFAULT,
-                 constants: PhysicalConstants = CONSTANTS):
+                 spec: GridSpec = GridSpec(), g0: float = G_DEFAULT):
         self.nodes = polar_nodes(photodetach, spec.n_polar, folded=True)
         self.trap = trap
         self.photodetach = photodetach
         self.geometry = geometry
         self.spec = spec
-        self.constants = constants
         self.g0 = g0
-        self.basis0 = build_basis(n_max, g0, constants=constants)
+        self.basis0 = build_basis(n_max, g0)
         self.axes = grid_axes(self.basis0, trap, photodetach, geometry, spec)
         tau_vals = self.axes.tau_values
         self.mode_grid = _build_mode_grid(self.basis0, geometry,
@@ -386,17 +389,15 @@ class MapMaker:
         geom = self.geometry
         pd = self.photodetach
         nodes = self.nodes
-        basis = build_basis(self.basis0.n_max, g, table=self.basis0.table,
-                            constants=self.constants)
-        m = self.constants.atom_mass
+        basis = build_basis(self.basis0.n_max, g, table=self.basis0.table)
+        m = CONSTANTS.atom_mass
 
         coeff = overlap_matrix(basis, geom.release_height, self.trap.width,
                                pd.recoil_momentum * nodes.u)
         fraction = float(nodes.w_even @ np.sum(np.abs(coeff) ** 2, axis=1))
 
         tau = axes.tau_values
-        F, G = self.mode_grid.fall_sums(basis.scales, geom, tau,
-                                        self.constants)
+        F, G = self.mode_grid.fall_sums(basis.scales, geom, tau)
 
         n_t, n_T = axes.t.shape[0], axes.T.shape[0]
         M = axes.n_tau
@@ -413,8 +414,7 @@ class MapMaker:
         neg_mass = 0.0
         pos_mass = 0.0
         for i, ti in enumerate(axes.t):
-            rate = _node_rates(basis, coeff, ti, F, G, tau,
-                               self.constants)   # (n_u, M)
+            rate = _node_rates(basis, coeff, ti, F, G, tau)   # (n_u, M)
             pbar = m * d / ti
             kappa = pbar * qbar / (dp * dp)
             gauss = np.exp(-(pbar - qbar) ** 2 / (2.0 * dp * dp))
@@ -456,11 +456,10 @@ class MapMaker:
 
 def build_folded_map(n_max: int, trap: TrapConfig,
                      photodetach: PhotodetachConfig, geometry: DiskGeometry,
-                     spec: GridSpec = GridSpec(), g: float = G_DEFAULT,
-                     constants: PhysicalConstants = CONSTANTS) -> FoldedMap:
+                     spec: GridSpec = GridSpec(),
+                     g: float = G_DEFAULT) -> FoldedMap:
     """One-shot folded map at a single gravity value."""
-    return MapMaker(n_max, trap, photodetach, geometry, spec, g0=g,
-                    constants=constants).build(g)
+    return MapMaker(n_max, trap, photodetach, geometry, spec, g0=g).build(g)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +479,8 @@ class DetectorMap:
 
 def current_map_yt(basis: GQSBasis, trap: TrapConfig,
                    photodetach: PhotodetachConfig, geometry: DiskGeometry,
-                   y_values, T_values, spec: GridSpec = GridSpec(),
-                   constants: PhysicalConstants = CONSTANTS) -> DetectorMap:
+                   y_values, T_values,
+                   spec: GridSpec = GridSpec()) -> DetectorMap:
     """Density per unit detector area and time along the Y axis (X = 0)."""
     y = np.asarray(y_values, dtype=float)
     T = np.asarray(T_values, dtype=float)
@@ -490,7 +489,7 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
     if np.any(taumat <= 0.0):
         raise DomainError("every (y, T) cell must leave time for the fall")
     nodes = polar_nodes(photodetach, spec.n_polar, folded=True)
-    m = constants.atom_mass
+    m = CONSTANTS.atom_mass
     coeff = overlap_matrix(basis, geometry.release_height, trap.width,
                            photodetach.recoil_momentum * nodes.u)
 
@@ -498,8 +497,8 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
                             (float(taumat.min()), float(taumat.max())), spec)
     tau = taumat.ravel()
     t = tmat.ravel()
-    F, G = grid.fall_sums(basis.scales, geometry, tau, constants)
-    rate = _node_rates(basis, coeff, t, F, G, tau, constants).T  # (K, n_u)
+    F, G = grid.fall_sums(basis.scales, geometry, tau)
+    rate = _node_rates(basis, coeff, t, F, G, tau).T  # (K, n_u)
 
     dp = trap.momentum_spread
     qbar = photodetach.recoil_momentum * np.sqrt(
@@ -536,8 +535,7 @@ def annihilation_current(basis: GQSBasis, trap: TrapConfig,
                          photodetach: PhotodetachConfig,
                          geometry: DiskGeometry, x: float, y: float,
                          T: float, spec: GridSpec = GridSpec(),
-                         n_azimuth: int = 16,
-                         constants: PhysicalConstants = CONSTANTS) -> float:
+                         n_azimuth: int = DEFAULT_AZIMUTH_NODES) -> float:
     """Brute-force event-rate density at one detector point.
 
     Sums explicit kick directions with plain two-dimensional Gaussians, with
@@ -546,35 +544,22 @@ def annihilation_current(basis: GQSBasis, trap: TrapConfig,
     """
     t = time_above_mirror(geometry, math.hypot(x, y), T)
     tau = np.asarray([T - t])
-    m = constants.atom_mass
-    nodes = polar_nodes(photodetach, spec.n_polar)
-    u, wu = nodes.u, nodes.wu
-    if photodetach.dipolar:
-        phi = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
-    else:
-        phi = np.asarray([nodes.pol_angle])
+    m = CONSTANTS.atom_mass
+    u = polar_nodes(photodetach, spec.n_polar).u
+    quad = recoil_quadrature(photodetach, spec.n_polar, n_azimuth)
     coeff = overlap_matrix(basis, geometry.release_height, trap.width,
                            photodetach.recoil_momentum * u)
     grid = _build_mode_grid(basis, geometry, (tau[0], tau[0]), spec)
-    F, G = grid.fall_sums(basis.scales, geometry, tau, constants)
-    rate_u = _node_rates(basis, coeff, t, F, G, tau, constants)[:, 0]
+    F, G = grid.fall_sums(basis.scales, geometry, tau)
+    rate_u = _node_rates(basis, coeff, t, F, G, tau)[:, 0]
 
     dp = trap.momentum_spread
     pvec = m * np.asarray([x, y]) / T
-    su = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    pol = np.asarray(photodetach.polarization)
-    total = 0.0
-    for iu in range(u.shape[0]):
-        qx = photodetach.recoil_momentum * su[iu] * np.cos(phi)
-        qy = photodetach.recoil_momentum * su[iu] * np.sin(phi)
-        d2 = (pvec[0] - qx) ** 2 + (pvec[1] - qy) ** 2
-        gauss = np.exp(-d2 / (2.0 * dp * dp)) / (2.0 * math.pi * dp * dp)
-        if photodetach.dipolar:
-            proj = (su[iu] * np.cos(phi) * pol[0]
-                    + su[iu] * np.sin(phi) * pol[1] + u[iu] * pol[2])
-            w_dir = 1.5 * proj ** 2 * wu[iu] / n_azimuth
-        else:
-            w_dir = np.ones(1)
-        total += float((w_dir * gauss).sum() * rate_u[iu])
+    q_hor = photodetach.recoil_momentum * quad.directions[:, :2]
+    d2 = ((pvec - q_hor) ** 2).sum(axis=1)
+    gauss = np.exp(-d2 / (2.0 * dp * dp)) / (2.0 * math.pi * dp * dp)
+    # the quadrature runs through the azimuths of one polar node at a time
+    w_u = (quad.weights * gauss).reshape(u.shape[0], -1).sum(axis=1)
+    total = float(w_u @ rate_u)
     w_time = tau[0] if spec.jacobian == "tau" else T
     return total * (m * m / (w_time * w_time))

@@ -24,8 +24,7 @@ import numpy as np
 from .airy import (AiryZeroTable, Z_MAX_PAD, airy_zeros, eigenfunction_matrix,
                    support_cut)
 from .errors import DomainError
-from .physcore import (CONSTANTS, G_DEFAULT, GravScales, PhysicalConstants,
-                       derive_scales)
+from .physcore import G_DEFAULT, GravScales, derive_scales
 from .source import (DEFAULT_POLAR_NODES, PhotodetachConfig, TrapConfig,
                      polar_nodes)
 
@@ -61,9 +60,8 @@ class GQSBasis:
 
 
 def build_basis(n_max: int, g: float = G_DEFAULT, z_max: float | None = None,
-                table: AiryZeroTable | None = None,
-                constants: PhysicalConstants = CONSTANTS) -> GQSBasis:
-    scales = derive_scales(g, constants)
+                table: AiryZeroTable | None = None) -> GQSBasis:
+    scales = derive_scales(g)
     if table is None:
         table = airy_zeros(n_max)
     elif table.n_max != n_max:
@@ -82,15 +80,13 @@ def classical_cutoff_velocity(basis: GQSBasis, height: float) -> float:
     return math.sqrt(2.0 * basis.scales.g * basis.scales.length * arg)
 
 
-def _panel_rule(lo: float, hi: float, wavenumber: float,
-                order: int = PANEL_ORDER, phase: float = PANEL_PHASE,
-                min_panels: int = MIN_PANELS):
+def _panel_rule(lo: float, hi: float, wavenumber: float, phase: float):
     """Composite Gauss-Legendre nodes sized so each panel spans at most
     `phase` radians of the fastest oscillation."""
     if hi <= lo:
         raise DomainError("empty integration interval")
-    panels = max(min_panels, int(math.ceil((hi - lo) * wavenumber / phase)))
-    x, w = np.polynomial.legendre.leggauss(order)
+    panels = max(MIN_PANELS, int(math.ceil((hi - lo) * wavenumber / phase)))
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -100,9 +96,7 @@ def _panel_rule(lo: float, hi: float, wavenumber: float,
 
 
 def overlap_matrix(basis: GQSBasis, height: float, width: float,
-                   qz_values, order: int = PANEL_ORDER,
-                   phase: float = PANEL_PHASE,
-                   min_panels: int = MIN_PANELS) -> np.ndarray:
+                   qz_values, phase: float = PANEL_PHASE) -> np.ndarray:
     """Coefficients c_n(q_z) for a batch of vertical kicks, shape (K, n_max).
 
     One Gauss-Legendre panel grid over the Gaussian support serves every kick:
@@ -120,7 +114,7 @@ def overlap_matrix(basis: GQSBasis, height: float, width: float,
     hi = height + GAUSSIAN_SUPPORT_SIGMAS * width
     k_mode = math.sqrt(basis.lam_max) / scales.length
     k_kick = float(np.max(np.abs(qz))) / hbar
-    z, w = _panel_rule(lo, hi, k_mode + k_kick, order, phase, min_panels)
+    z, w = _panel_rule(lo, hi, k_mode + k_kick, phase)
     chi = eigenfunction_matrix(basis.table, z / scales.length)
     amp = (2.0 * math.pi * width ** 2) ** (-0.25)
     gauss = amp * np.exp(-(z - height) ** 2 / (4.0 * width ** 2))

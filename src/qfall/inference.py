@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .freefall import FoldedMap, GridSpec, MapMaker, cell_masses
 from .mirror import DiskGeometry
-from .physcore import CONSTANTS, G_DEFAULT, PhysicalConstants
+from .physcore import G_DEFAULT
 from .source import PhotodetachConfig, TrapConfig
 
 _UINT64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -358,10 +358,8 @@ class GridDensityFamily:
 
     def __init__(self, n_max: int, trap: TrapConfig,
                  photodetach: PhotodetachConfig, geometry: DiskGeometry,
-                 spec: GridSpec = GridSpec(), g0: float = G_DEFAULT,
-                 constants: PhysicalConstants = CONSTANTS):
-        self.maker = MapMaker(n_max, trap, photodetach, geometry, spec,
-                              g0, constants)
+                 spec: GridSpec = GridSpec(), g0: float = G_DEFAULT):
+        self.maker = MapMaker(n_max, trap, photodetach, geometry, spec, g0)
         self.geometry = geometry
         self.builds = 0
         self._cache = {}

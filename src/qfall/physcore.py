@@ -14,27 +14,24 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-#: SI values.  hbar is exact (2019 SI); the atom mass is the hydrogen atom
-#: mass, standing in for antihydrogen; the recoiling lepton is the positron.
-HBAR = 1.054571817e-34
-ATOM_MASS = 1.6735e-27
-POSITRON_MASS = 9.1093837015e-31
-ELECTRON_VOLT = 1.602176634e-19
 G_DEFAULT = 9.81
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Bundle of SI constants used throughout.  All strictly positive."""
+    """Bundle of SI constants used throughout.  All strictly positive.
 
-    hbar: float = HBAR
-    atom_mass: float = ATOM_MASS
-    positron_mass: float = POSITRON_MASS
-    electron_volt: float = ELECTRON_VOLT
-    g_default: float = G_DEFAULT
+    hbar is exact (2019 SI); the atom mass is the hydrogen atom mass,
+    standing in for antihydrogen; the recoiling lepton is the positron.
+    """
+
+    hbar: float = 1.054571817e-34
+    atom_mass: float = 1.6735e-27
+    positron_mass: float = 9.1093837015e-31
+    electron_volt: float = 1.602176634e-19
 
     def __post_init__(self):
-        for name in ("hbar", "atom_mass", "positron_mass", "electron_volt", "g_default"):
+        for name in ("hbar", "atom_mass", "positron_mass", "electron_volt"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"constant {name} must be positive")
         # the recoiling lepton must be far lighter than the atom, otherwise
@@ -58,11 +55,11 @@ class GravScales:
     momentum: float
 
 
-def derive_scales(g: float, constants: PhysicalConstants = CONSTANTS) -> GravScales:
+def derive_scales(g: float) -> GravScales:
     """Build the scale system for acceleration g > 0."""
     if not (g > 0.0 and math.isfinite(g)):
         raise DomainError(f"g must be positive and finite, got {g!r}")
-    hbar, m = constants.hbar, constants.atom_mass
+    hbar, m = CONSTANTS.hbar, CONSTANTS.atom_mass
     length = (hbar * hbar / (2.0 * m * m * g)) ** (1.0 / 3.0)
     energy = m * g * length
     time = hbar / energy

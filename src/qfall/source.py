@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .physcore import CONSTANTS, PhysicalConstants
+from .physcore import CONSTANTS
 
 DEFAULT_POLAR_NODES = 24
 DEFAULT_AZIMUTH_NODES = 16
@@ -34,14 +34,14 @@ class TrapConfig:
     velocity_spread: float
 
 
-def build_trap(frequency: float, constants: PhysicalConstants = CONSTANTS) -> TrapConfig:
+def build_trap(frequency: float) -> TrapConfig:
     if not frequency > 0.0:
         raise DomainError(f"trap frequency must be positive, got {frequency!r}")
     omega = 2.0 * math.pi * frequency
-    zeta = math.sqrt(constants.hbar / (2.0 * constants.atom_mass * omega))
-    dp = constants.hbar / (2.0 * zeta)
+    zeta = math.sqrt(CONSTANTS.hbar / (2.0 * CONSTANTS.atom_mass * omega))
+    dp = CONSTANTS.hbar / (2.0 * zeta)
     return TrapConfig(frequency=frequency, width=zeta, momentum_spread=dp,
-                      velocity_spread=dp / constants.atom_mass)
+                      velocity_spread=dp / CONSTANTS.atom_mass)
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ class PhotodetachConfig:
 
 
 def build_photodetach(detachment_energy: float, polarization=(0.0, 1.0, 0.0),
-                      kick_velocity: float = 0.0,
-                      constants: PhysicalConstants = CONSTANTS) -> PhotodetachConfig:
+                      kick_velocity: float = 0.0) -> PhotodetachConfig:
     if detachment_energy < 0.0:
         raise DomainError("detachment energy must be >= 0")
     if kick_velocity < 0.0:
@@ -82,12 +81,12 @@ def build_photodetach(detachment_energy: float, polarization=(0.0, 1.0, 0.0),
     pol = pol / norm
     if detachment_energy > 0.0:
         # the recoiling lepton is the positron: its small mass sets the kick
-        q = math.sqrt(2.0 * constants.positron_mass * detachment_energy)
+        q = math.sqrt(2.0 * CONSTANTS.positron_mass * detachment_energy)
     else:
-        q = constants.atom_mass * kick_velocity
+        q = CONSTANTS.atom_mass * kick_velocity
     return PhotodetachConfig(detachment_energy=detachment_energy,
                              recoil_momentum=q,
-                             recoil_velocity=q / constants.atom_mass,
+                             recoil_velocity=q / CONSTANTS.atom_mass,
                              polarization=tuple(pol),
                              kick_velocity=kick_velocity)
 

@@ -7,6 +7,7 @@ import pytest
 from qfall.config import (RunConfig, build_components, canonical_text,
                           config_dict, config_hash, parse_config)
 from qfall.errors import ConfigError
+from qfall.freefall import GridSpec
 
 EV = 1.602176634e-19
 
@@ -94,6 +95,8 @@ class TestValidation:
             parse_config("geometry.fall_height = -1 m")
         with pytest.raises(ConfigError, match="rel_window"):
             parse_config("inference.rel_window = 1")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config("physics.g = inf m/s2")
 
     def test_enum_values(self):
         assert parse_config("freefall.jacobian = T").jacobian == "T"
@@ -107,6 +110,16 @@ class TestValidation:
         for bad in ("4", "3", "0", "42"):
             with pytest.raises(ConfigError, match="n_scan"):
                 parse_config("inference.n_scan = %s" % bad)
+
+    def test_grid_checked_before_compute(self):
+        assert parse_config("grid.z_samples = 2").z_samples == 2.0
+        for bad in ("grid.z_samples = 0.1", "grid.z_samples = 0",
+                    "grid.horizontal_sigmas = -10",
+                    "grid.vertical_pad_scales = -100",
+                    "grid.fringe_samples = 1", "grid.t_nodes = 4",
+                    "grid.fringe_samples = nan", "grid.z_samples = inf"):
+            with pytest.raises(ConfigError):
+                parse_config(bad)
 
     def test_polarization_forms(self):
         assert parse_config("source.polarization = z").polarization == (
@@ -159,6 +172,7 @@ class TestComponents:
         assert pd.dipolar
         assert geom.fall_height == 0.5
         assert spec.jacobian == "T"
+        assert build_components(RunConfig())[3] == GridSpec()
 
     def test_kick_variant_wiring(self):
         cfg = parse_config("source.detachment_energy = 0 eV\n"

@@ -168,6 +168,13 @@ class TestWindowsAndAxes:
             GridSpec(jacobian="both")
         with pytest.raises(ConfigError):
             GridSpec(fringe_samples=1.0)
+        # below the Nyquist floor the z grid aliases the chirp; negative
+        # pads empty the windows
+        for bad in (dict(z_samples=0.0), dict(z_samples=0.1),
+                    dict(z_samples=1.9), dict(horizontal_sigmas=-10.0),
+                    dict(vertical_pad_scales=-100.0)):
+            with pytest.raises(ConfigError):
+                GridSpec(**bad)
 
 
 class TestFoldedMap:
@@ -273,11 +280,10 @@ class TestDetectorCut:
                                recoil.recoil_momentum * nodes.u)
         tau = np.linspace(0.24, 0.25, 40)
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
-        F, G = grid.fall_sums(basis.scales, GEO, tau, CONSTANTS)
+        F, G = grid.fall_sums(basis.scales, GEO, tau)
         t = 0.049
-        shared = _node_rates(basis, coeff, t, F, G, tau, CONSTANTS)
-        per_row = _node_rates(basis, coeff, np.full(tau.shape, t), F, G, tau,
-                              CONSTANTS)
+        shared = _node_rates(basis, coeff, t, F, G, tau)
+        per_row = _node_rates(basis, coeff, np.full(tau.shape, t), F, G, tau)
         assert shared.shape == per_row.shape == (nodes.u.shape[0], 40)
         assert np.abs(per_row - shared).max() < 1e-13 * np.abs(shared).max()
 
