@@ -18,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import (RunConfig, build_components, config_dict, config_hash,
-                     resolve_config)
+from .config import (RunConfig, _validate, build_components, config_dict,
+                     config_hash, resolve_config)
 from .freefall import build_folded_map, current_map_yt, fall_windows
-from .gqs import build_basis, classical_cutoff_velocity, overlap_matrix
+from .gqs import build_basis, classical_cutoff_velocity, transmitted_fraction
 from .inference import (EventSet, GridDensityFamily, count_information,
                         cramer_rao_sigma, estimate_g, fisher_information,
                         replicate_rng, run_campaign, sample_events)
@@ -82,6 +82,8 @@ def _read_events_csv(path: str) -> EventSet:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """Flags and QFALL_SEED over the config, checked like a config file
+    before any compute."""
     updates = {}
     for attr in ("g", "n_max", "n_source", "n_replicates"):
         value = getattr(args, attr, None)
@@ -91,7 +93,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         updates["seed"] = args.seed
     elif os.environ.get("QFALL_SEED"):
         updates["seed"] = int(os.environ["QFALL_SEED"])
-    return replace(cfg, **updates) if updates else cfg
+    cfg = replace(cfg, **updates)
+    _validate(cfg)
+    return cfg
 
 
 def _folded_components(cfg: RunConfig):
@@ -153,21 +157,16 @@ def _cmd_source_dist(cfg, args, out_dir):
 def _cmd_end_of_mirror(cfg, args, out_dir):
     trap, pd, geom, _ = build_components(cfg)
     basis = build_basis(cfg.n_max, cfg.g)
-    nodes = polar_nodes(pd, cfg.n_polar)
-    coeff = overlap_matrix(basis, geom.release_height, trap.width,
-                           pd.recoil_momentum * nodes.u)
-    prob = np.abs(coeff) ** 2
-    populations = nodes.w_even @ prob
-    # the same operations as gqs.transmitted_fraction, on the same matrix
-    fraction = float(nodes.w_even @ prob.sum(axis=1))
+    tr = transmitted_fraction(basis, trap, pd, geom.release_height,
+                              cfg.n_polar)
     n = np.arange(1, cfg.n_max + 1)
     _write_csv(os.path.join(out_dir, "end_of_mirror.csv"),
                {"g_mps2": "%.17g" % cfg.g,
                 "release_height_m": "%.17g" % geom.release_height},
                ["n", "lambda_n", "population"],
-               [n, basis.table.values, populations])
-    data = {"fraction": fraction,
-            "expected_count": int(round(cfg.n_source * fraction)),
+               [n, basis.table.values, tr.populations])
+    data = {"fraction": tr.fraction,
+            "expected_count": tr.expected_count(cfg.n_source),
             "n_source": cfg.n_source,
             "cutoff_velocity_mps": classical_cutoff_velocity(
                 basis, geom.release_height)}

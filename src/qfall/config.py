@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 
 from .errors import ConfigError
 from .freefall import GridSpec
+from .inference import N_SCAN, REL_WINDOW
 from .mirror import DiskGeometry
 from .physcore import CONSTANTS, G_DEFAULT
 from .source import build_photodetach, build_trap
@@ -62,8 +63,8 @@ class RunConfig:
     n_source: int = 20000
     n_replicates: int = 40
     seed: int = 1
-    rel_window: float = 2e-4
-    n_scan: int = 41
+    rel_window: float = REL_WINDOW
+    n_scan: int = N_SCAN
 
 
 # key -> (field name, dimension or None, python type)
@@ -169,11 +170,13 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     positive = ("frequency", "release_height", "travel_distance",
-                "fall_height", "g", "n_max", "n_source", "n_replicates",
-                "rel_window")
+                "fall_height", "g", "n_max", "n_source", "rel_window")
     for name in positive:
         if getattr(cfg, name) <= 0:
             raise ConfigError("%s must be positive" % _FIELD_TO_KEY[name])
+    if cfg.n_replicates < 2:
+        raise ConfigError("inference.n_replicates must be at least 2 for a "
+                          "spread")
     if cfg.rel_window >= 1.0:
         raise ConfigError("inference.rel_window must be below 1")
     if cfg.detachment_energy < 0 or cfg.kick_velocity < 0:

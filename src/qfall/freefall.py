@@ -167,6 +167,10 @@ class GridSpec:
     def __post_init__(self):
         if self.jacobian not in ("tau", "T"):
             raise ConfigError("jacobian must be 'tau' or 'T'")
+        for name in ("fringe_samples", "t_nodes", "horizontal_sigmas",
+                     "vertical_pad_scales", "z_samples", "n_polar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("%s must be finite" % name)
         if self.fringe_samples < 2.0:
             raise ConfigError("need at least 2 samples per fringe")
         if not self.z_samples >= 2.0:

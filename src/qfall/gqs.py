@@ -125,13 +125,10 @@ def overlap_matrix(basis: GQSBasis, height: float, width: float,
 
 @dataclass(frozen=True)
 class TransmissionResult:
-    """Recoil-averaged retained probability and its per-direction breakdown."""
+    """Recoil-averaged retained probability and its per-mode breakdown."""
 
     fraction: float
-    node_u: np.ndarray
-    node_weight: np.ndarray
-    node_retained: np.ndarray
-    n_max: int
+    populations: np.ndarray   # recoil-averaged |c_n|^2, n = 1..n_max
 
     def expected_count(self, n_atoms: int) -> int:
         if n_atoms < 0:
@@ -147,7 +144,6 @@ def transmitted_fraction(basis: GQSBasis, trap: TrapConfig,
     nodes = polar_nodes(photodetach, n_polar)
     coeff = overlap_matrix(basis, height, trap.width,
                            photodetach.recoil_momentum * nodes.u)
-    retained = np.sum(np.abs(coeff) ** 2, axis=1)
-    return TransmissionResult(fraction=float(nodes.w_even @ retained),
-                              node_u=nodes.u, node_weight=nodes.w_even,
-                              node_retained=retained, n_max=basis.n_max)
+    prob = np.abs(coeff) ** 2
+    return TransmissionResult(fraction=float(nodes.w_even @ prob.sum(axis=1)),
+                              populations=nodes.w_even @ prob)

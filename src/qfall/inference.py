@@ -22,7 +22,6 @@ score d log m / dg is the interpolant's derivative.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,6 +52,10 @@ MAX_NODES = 33
 
 # times `estimate_g` may double a window whose scan peaks on an edge
 MAX_WIDEN = 3
+
+# default scan: g0 (1 +- REL_WINDOW) in N_SCAN points (RunConfig reads these)
+REL_WINDOW = 2e-4
+N_SCAN = 41
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -275,7 +278,8 @@ class MapNodes:
     fraction; `center` is the g0 map, which carries the lattice.  Between
     the nodes every quantity linear in the density is the barycentric
     combination of its node values; the interpolant does not extrapolate.
-    `tail` is the final Chebyshev tail over the map maximum.
+    `slope` differentiates it at g0.  `tail` is the final Chebyshev tail
+    over the map maximum.
     """
 
     rel_window: float
@@ -308,22 +312,16 @@ class MapNodes:
             w = a / a.sum(axis=-1, keepdims=True)
         return np.where(hit.any(axis=-1, keepdims=True), hit * 1.0, w)
 
-    def slope_weights(self, g: float) -> np.ndarray:
-        """Weights (P,) of the interpolant's derivative d/dg at one g."""
+    @property
+    def slope(self) -> np.ndarray:
+        """Weights (P,) of the interpolant's derivative d/dg at g0: the
+        centre row of the differentiation matrix."""
         b = _barycentric_weights(self.x.shape[0] - 1)
-        diff = float(self._offset(g)) - self.x
-        hit = np.flatnonzero(diff == 0.0)
-        if hit.size:
-            # a node: the row of the differentiation matrix
-            i = hit[0]
-            others = np.arange(b.shape[0]) != i
-            d = np.zeros(b.shape[0])
-            d[others] = (b[others] / b[i]) / (self.x[i] - self.x[others])
-            d[i] = -d[others].sum()
-        else:
-            a = b / diff
-            c = a / (a.sum() * diff)
-            d = c.sum() * a / a.sum() - c
+        i = self.x.shape[0] // 2
+        others = np.arange(b.shape[0]) != i
+        d = np.zeros(b.shape[0])
+        d[others] = (b[others] / b[i]) / (self.x[i] - self.x[others])
+        d[i] = -d[others].sum()
         return d / (self.center.g * self.rel_window)
 
     def density_at(self, g: float) -> np.ndarray:
@@ -350,10 +348,9 @@ class GridDensityFamily:
     """Folded maps over g on one frozen (t, T) lattice, built lazily.
 
     The lattice, mode grid, and recoil nodes are fixed at g0, so densities
-    at different g are directly comparable cell by cell; maps are cached by
-    exact g value unless keep=False.  `builds` counts the maps built;
-    `nodes(rel_window)` gives the node set of a scan window and keeps the
-    last one.
+    at different g are directly comparable cell by cell.  The family keeps
+    its g0 map and the node set of the last window, and builds every other
+    map anew; `builds` counts the maps built.
     """
 
     def __init__(self, n_max: int, trap: TrapConfig,
@@ -362,30 +359,29 @@ class GridDensityFamily:
         self.maker = MapMaker(n_max, trap, photodetach, geometry, spec, g0)
         self.geometry = geometry
         self.builds = 0
-        self._cache = {}
+        self._center = None
         self._nodes = None
 
     @property
     def g0(self) -> float:
         return self.maker.g0
 
-    def map_at(self, g: float, keep: bool = True) -> FoldedMap:
+    def map_at(self, g: float) -> FoldedMap:
         g = float(g)
-        if g in self._cache:
-            return self._cache[g]
+        if g == self.g0 and self._center is not None:
+            return self._center
         fmap = self.maker.build(g)
         self.builds += 1
-        if keep:
-            self._cache[g] = fmap
+        if g == self.g0:
+            self._center = fmap
         return fmap
 
     def nodes(self, rel_window: float) -> MapNodes:
         """Node set over [g0 (1 - rel_window), g0 (1 + rel_window)].
 
-        The g0 map is kept in the map cache; the other nodes are built with
-        keep=False and only their densities stay.  The set of the last
-        window is kept, so a scan and the Fisher information at the same
-        window share one set.
+        The g0 map is the kept one; of the other nodes only the densities
+        stay.  The set of the last window is kept, so a scan and the Fisher
+        information at the same window share one set.
         """
         if self._nodes is not None and self._nodes.rel_window == rel_window:
             return self._nodes
@@ -400,9 +396,8 @@ class GridDensityFamily:
         fresh = range(x.shape[0])
         while True:
             for k in fresh:
-                # the centre node is g0 exactly, a hit in the map cache
-                fm = self.map_at(self.g0 * (1.0 + rel_window * x[k]),
-                                 keep=False)
+                # the centre node is g0 exactly: the kept map
+                fm = self.map_at(self.g0 * (1.0 + rel_window * x[k]))
                 density[k] = fm.density
                 normalizer[k] = fm.normalizer
                 fraction[k] = fm.metadata["fraction"]
@@ -469,7 +464,7 @@ class GravityEstimate:
 
 
 def estimate_g(events: EventSet, family: GridDensityFamily,
-               rel_window: float = 2e-4, n_scan: int = 41,
+               rel_window: float = REL_WINDOW, n_scan: int = N_SCAN,
                conditional: bool = True) -> GravityEstimate:
     """Maximum-likelihood g from a scan plus parabolic refinement.
 
@@ -493,47 +488,47 @@ def estimate_g(events: EventSet, family: GridDensityFamily,
         widened += 1
 
 
-def fisher_information(family: GridDensityFamily, g: Optional[float] = None,
-                       rel_window: float = 2e-4) -> float:
-    """Per-detected-event Fisher information of the arrival density.
+def fisher_information(family: GridDensityFamily,
+                       rel_window: float = REL_WINDOW) -> float:
+    """Per-detected-event Fisher information of the arrival density at g0.
 
     I = sum_c m_c (d log m_c / dg)^2 over the normalized cell masses above
-    the mass floor.  The masses and their g-derivative come from the node
-    set over rel_window (g must lie inside it): cell masses are linear in
-    the density, so both are the interpolant and its derivative at g.
+    the mass floor.  The masses are those of the g0 map; their
+    g-derivative is the node interpolant's over rel_window (cell masses
+    are linear in the density).
     """
-    g = family.g0 if g is None else float(g)
     nodes = family.nodes(rel_window)
     area = nodes.center.cell_area
-    m = cell_masses(nodes.density_at(g), area)
-    dm = cell_masses(np.tensordot(nodes.slope_weights(g), nodes.density,
-                                  axes=1), area)
+    m = cell_masses(nodes.center.density, area)
+    dm = cell_masses(np.tensordot(nodes.slope, nodes.density, axes=1), area)
     Z = m.sum()
     mask = m / Z > FISHER_MASS_FLOOR
     score = dm[mask] / m[mask] - dm.sum() / Z
     return float((m[mask] / Z * score * score).sum())
 
 
-def count_information(family: GridDensityFamily, g: Optional[float] = None,
-                      rel_window: float = 2e-4) -> float:
-    """Per-source-atom information in the detected/not-detected split."""
-    g = family.g0 if g is None else float(g)
-    nodes = family.nodes(rel_window)
-    p = nodes.weights(g) @ nodes.fraction
-    dp = nodes.slope_weights(g) @ nodes.fraction
+def _count_information(nodes: MapNodes) -> float:
+    p = nodes.center.metadata["fraction"]
+    dp = nodes.slope @ nodes.fraction
     return float(dp * dp / (p * (1.0 - p)))
 
 
+def count_information(family: GridDensityFamily,
+                      rel_window: float = REL_WINDOW) -> float:
+    """Per-source-atom information in the detected/not-detected split at
+    g0."""
+    return _count_information(family.nodes(rel_window))
+
+
 def cramer_rao_sigma(family: GridDensityFamily, n_source: int,
-                     g: Optional[float] = None, conditional: bool = True,
-                     rel_window: float = 2e-4) -> float:
-    """Lower bound on sigma_g for one experiment of n_source atoms."""
-    g = family.g0 if g is None else float(g)
+                     conditional: bool = True,
+                     rel_window: float = REL_WINDOW) -> float:
+    """Lower bound on sigma_g at g0 for one experiment of n_source atoms."""
     nodes = family.nodes(rel_window)
-    p = nodes.weights(g) @ nodes.fraction
-    info = n_source * p * fisher_information(family, g, rel_window)
+    p = nodes.center.metadata["fraction"]
+    info = n_source * p * fisher_information(family, rel_window)
     if not conditional:
-        info += n_source * count_information(family, g, rel_window)
+        info += n_source * _count_information(nodes)
     return 1.0 / math.sqrt(info)
 
 
@@ -572,10 +567,9 @@ class CampaignResult:
 
 def run_campaign(family: GridDensityFamily, n_source: int,
                  n_replicates: int, seed: int,
-                 g_true: Optional[float] = None, rel_window: float = 2e-4,
-                 n_scan: int = 41,
+                 rel_window: float = REL_WINDOW, n_scan: int = N_SCAN,
                  conditional: bool = True) -> CampaignResult:
-    """Replicated experiments against the Cramer-Rao bound.
+    """Replicated experiments at g0 against the Cramer-Rao bound.
 
     One node set over the scan window serves every replicate and the
     bound, so the map-build cost depends on neither the replicate count
@@ -584,9 +578,7 @@ def run_campaign(family: GridDensityFamily, n_source: int,
     """
     if n_replicates < 2:
         raise DomainError("need at least 2 replicates for a spread")
-    g_true = family.g0 if g_true is None else float(g_true)
-    if not abs(g_true / family.g0 - 1.0) <= rel_window:
-        raise DomainError("g_true lies outside the scan window")
+    g_true = family.g0
     builds = family.builds
     fmap_true = family.map_at(g_true)
     events = [sample_events(fmap_true, n_source, replicate_rng(seed, r))
@@ -607,8 +599,7 @@ def run_campaign(family: GridDensityFamily, n_source: int,
 
     g_mean = float(estimates.mean())
     sigma_mc = float(estimates.std(ddof=1))
-    sigma_cr = cramer_rao_sigma(family, n_source, g_true, conditional,
-                                rel_window)
+    sigma_cr = cramer_rao_sigma(family, n_source, conditional, rel_window)
     return CampaignResult(
         g_true=g_true, n_source=n_source, n_replicates=n_replicates,
         seed=seed, estimates=estimates, sigmas=sigmas,

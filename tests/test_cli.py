@@ -66,12 +66,13 @@ class TestLightCommands:
 
     def test_end_of_mirror(self, tmp_path, desk_cfg, monkeypatch):
         calls = []
+        overlap_matrix = gqs.overlap_matrix
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return gqs.overlap_matrix(*args, **kwargs)
+            return overlap_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "overlap_matrix", counted)
+        monkeypatch.setattr(gqs, "overlap_matrix", counted)
         out = str(tmp_path)
         assert main(["end-of-mirror", "--config", desk_cfg,
                      "--out", out]) == 0
@@ -229,6 +230,25 @@ class TestPolarizationCheck:
                      "--out", out]) == 1
         assert "zero table requested" in _manifest(out, "end_of_mirror")[
             "error"]
+
+
+class TestOverrideValidation:
+    """Flag and environment overrides are checked before any compute."""
+
+    @pytest.mark.parametrize("command, flags, key", [
+        ("fisher", ["--n-source", "0"], "n_source"),
+        ("campaign", ["--replicates", "1"], "n_replicates"),
+        ("simulate", ["--n-max", "0"], "n_max"),
+        ("fisher", ["--g", "-9.81"], "physics.g"),
+    ])
+    def test_bad_override_refused(self, tmp_path, desk_cfg, monkeypatch,
+                                  command, flags, key):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        out = str(tmp_path)
+        assert main([command, "--config", desk_cfg, "--out", out]
+                    + flags) == 1
+        error = _manifest(out, command)["error"]
+        assert "ConfigError" in error and key in error
 
 
 class TestFailureAndPrecedence:

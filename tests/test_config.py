@@ -97,6 +97,10 @@ class TestValidation:
             parse_config("inference.rel_window = 1")
         with pytest.raises(ConfigError, match="finite"):
             parse_config("physics.g = inf m/s2")
+        # a spread needs two replicates
+        assert parse_config("inference.n_replicates = 2").n_replicates == 2
+        with pytest.raises(ConfigError, match="n_replicates"):
+            parse_config("inference.n_replicates = 1")
 
     def test_enum_values(self):
         assert parse_config("freefall.jacobian = T").jacobian == "T"

@@ -172,7 +172,12 @@ class TestWindowsAndAxes:
         # pads empty the windows
         for bad in (dict(z_samples=0.0), dict(z_samples=0.1),
                     dict(z_samples=1.9), dict(horizontal_sigmas=-10.0),
-                    dict(vertical_pad_scales=-100.0)):
+                    dict(vertical_pad_scales=-100.0),
+                    dict(fringe_samples=math.nan),
+                    dict(fringe_samples=math.inf), dict(z_samples=math.inf),
+                    dict(t_nodes=math.nan), dict(horizontal_sigmas=math.inf),
+                    dict(vertical_pad_scales=math.nan),
+                    dict(n_polar=math.inf)):
             with pytest.raises(ConfigError):
                 GridSpec(**bad)
 

@@ -168,8 +168,8 @@ class TestTransmission:
 
     def test_nodes_sum_to_fraction(self, basis, trap, recoil):
         tr = transmitted_fraction(basis, trap, recoil, HEIGHT)
-        assert tr.node_weight @ tr.node_retained == pytest.approx(
-            tr.fraction, rel=1e-14)
+        assert tr.populations.shape == (basis.n_max,)
+        assert tr.populations.sum() == pytest.approx(tr.fraction, rel=1e-14)
 
 
 class TestBasis:

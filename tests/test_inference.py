@@ -238,7 +238,7 @@ class TestMapNodes:
         top = nodes.density.max()
         for x in (0.37, -0.61, 0.93):
             g = family.g0 * (1.0 + rel_window * x)
-            direct = family.map_at(g, keep=False).density
+            direct = family.map_at(g).density
             assert np.abs(nodes.density_at(g) - direct).max() <= 1e-5 * top
 
     def test_center_node_is_the_direct_map(self, family, fmap):
@@ -249,6 +249,19 @@ class TestMapNodes:
         assert np.array_equal(nodes.density_at(family.g0), fmap.density)
         assert nodes.normalizer[c] == fmap.normalizer
 
+    def test_slope_differentiates_polynomials(self, family):
+        # the centre row of the differentiation matrix is exact for every
+        # polynomial the P nodes determine, degree <= P - 1
+        nodes = family.nodes(4e-4)
+        scale = family.g0 * nodes.rel_window
+        u = (nodes.g - family.g0) / scale
+        assert abs(nodes.slope.sum()) * scale < 1e-12   # constants
+        for degree in range(1, nodes.x.shape[0]):
+            coef = np.cos(np.arange(degree + 1) + 1.0)
+            values = np.polynomial.polynomial.polyval(u, coef)
+            assert nodes.slope @ values == pytest.approx(coef[1] / scale,
+                                                         rel=1e-10)
+
     def test_no_extrapolation(self, family):
         nodes = family.nodes(4e-4)
         with pytest.raises(DomainError):
@@ -258,7 +271,7 @@ class TestMapNodes:
         rel_window, n_scan = 4e-4, 11
         nodes = family.nodes(rel_window)
         g_values = _scan_lattice(family.g0, rel_window, n_scan)
-        direct = [family.map_at(g, keep=False) for g in g_values]
+        direct = [family.map_at(g) for g in g_values]
         sigma = cramer_rao_sigma(family, 1000, rel_window=rel_window)
         c = n_scan // 2
         for r in range(4):
@@ -281,7 +294,7 @@ class TestFisher:
         # direct builds, with a step small enough that its truncation
         # error (2.5e-4 here) stays well inside the tolerance
         step = family.g0 * 1e-5
-        maps = [family.map_at(g, keep=False)
+        maps = [family.map_at(g)
                 for g in (family.g0 - step, family.g0, family.g0 + step)]
         m = [cell_masses(fm.density, fm.cell_area) for fm in maps]
         mm, m0, mp = (x / x.sum() for x in m)
