@@ -12,18 +12,24 @@ representation is the half-line Fourier transform
     chi_tilde_n(p) = (2 pi hbar)^(-1/2) * Int_0^inf chi_n(z) exp(-i p z / hbar) dz,
 
 evaluated here by direct oscillation-resolved quadrature.
+
+Mode rows on a grid come from one evaluator, `_airy_rows`, which calls
+scipy's Airy ufunc once per row on a pool of `kernels.cores()` threads and
+can stop each row at its own sample count (the free-fall mode grid stops at
+each mode's support cut).
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sps
 
 from .errors import DomainError, NumericsError
-from .kernels import simpson_weights
+from .kernels import cores, simpson_weights
 from .physcore import CONSTANTS, GravScales
 
 #: Dimensionless support cut: Ai(x) has fallen below ~1e-16 of its peak for
@@ -96,6 +102,30 @@ def eigenfunction(n: int, z, table: AiryZeroTable, scales: GravScales):
     return np.where(z >= 0.0, out, 0.0)
 
 
+def _airy_rows(table: AiryZeroTable, xi: np.ndarray,
+               stops: np.ndarray) -> np.ndarray:
+    """Rows Ai(xi_j - lam_n) / Ai'(-lam_n) for j < stops[n-1], 0.0 beyond.
+
+    Row k goes to worker k mod W of W threads, which evens out rows whose
+    stops grow with n.  The Airy ufunc releases the GIL.
+    """
+    out = np.zeros((table.n_max, len(xi)))
+
+    def fill(rows):
+        for k in rows:
+            stop = stops[k]
+            out[k, :stop] = (sps.airy(xi[:stop] - table.values[k])[0]
+                             / table.ai_prime[k])
+
+    workers = cores()
+    with ThreadPoolExecutor(workers) as pool:
+        shares = [pool.submit(fill, range(w, table.n_max, workers))
+                  for w in range(workers)]
+        for done in shares:
+            done.result()
+    return out
+
+
 def eigenfunction_matrix(table: AiryZeroTable, xi: np.ndarray) -> np.ndarray:
     """Dimensionless mode values A[n-1, j] = Ai(xi_j - lam_n) / Ai'(-lam_n).
 
@@ -105,12 +135,7 @@ def eigenfunction_matrix(table: AiryZeroTable, xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if not np.all(xi >= 0.0):
         raise DomainError("mode matrix grid must satisfy xi >= 0 (no NaN)")
-    out = np.empty((table.n_max, len(xi)))
-    # one scipy call per mode row: the full outer grid can be large
-    for k in range(table.n_max):
-        out[k] = sps.airy(xi - table.values[k])[0]
-    out /= table.ai_prime[:, None]
-    return out
+    return _airy_rows(table, xi, np.full(table.n_max, len(xi)))
 
 
 def _momentum_quadrature_grid(lam: float, w_max: float):

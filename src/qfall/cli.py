@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .config import (RunConfig, _validate, build_components, config_dict,
                      config_hash, resolve_config)
+from .errors import ConfigError
 from .freefall import build_folded_map, current_map_yt, fall_windows
 from .gqs import build_basis, classical_cutoff_velocity, transmitted_fraction
 from .inference import (EventSet, GridDensityFamily, count_information,
@@ -92,7 +93,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.seed is not None:
         updates["seed"] = args.seed
     elif os.environ.get("QFALL_SEED"):
-        updates["seed"] = int(os.environ["QFALL_SEED"])
+        raw = os.environ["QFALL_SEED"]
+        try:
+            updates["seed"] = int(raw)
+        except ValueError:
+            raise ConfigError("QFALL_SEED must be an integer, got %r"
+                              % raw) from None
     cfg = replace(cfg, **updates)
     _validate(cfg)
     return cfg

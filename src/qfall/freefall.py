@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 import scipy.special as sps
 
-from .airy import SUPPORT_PAD, eigenfunction_matrix
+from .airy import SUPPORT_PAD, _airy_rows
 from .errors import ConfigError, DomainError
 from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
@@ -254,7 +254,8 @@ class ModeGrid:
     xi: np.ndarray       # z / l
     wxi: np.ndarray      # Simpson weights in xi
     chi: np.ndarray      # (n_max, J) Ai(xi - lambda_n) / Ai'(-lambda_n)
-    idx_cut: np.ndarray  # per-mode sample count up to the support cut
+    idx_cut: np.ndarray  # per-mode sample count up to the support cut;
+    #                      chi is 0.0 from there on
 
     def fall_sums(self, scales: GravScales, geometry: DiskGeometry, tau):
         """Mode sums F, G, shape (K, n_max), for the fall times tau (K,)."""
@@ -282,12 +283,10 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     xi_sup = z_sup / scales.length
     xi = np.linspace(0.0, xi_sup, count)
     wxi = simpson_weights(count, xi[1] - xi[0])
-    chi = eigenfunction_matrix(basis.table, xi)
     cuts = basis.table.values + SUPPORT_PAD
     idx_cut = np.minimum(np.searchsorted(xi, cuts, side="right"),
                          count).astype(np.int64)
-    for n in range(chi.shape[0]):
-        chi[n, idx_cut[n]:] = 0.0
+    chi = _airy_rows(basis.table, xi, idx_cut)
     return ModeGrid(xi=xi, wxi=wxi, chi=chi, idx_cut=idx_cut)
 
 

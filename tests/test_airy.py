@@ -6,6 +6,7 @@ import pytest
 import scipy.special as sps
 from scipy.integrate import quad
 
+from qfall import airy
 from qfall.airy import (AiryZeroTable, airy_zero_guess, airy_zeros,
                         eigenfunction, eigenfunction_matrix,
                         eigenfunction_momentum, momentum_matrix, support_cut)
@@ -193,3 +194,20 @@ def test_eigenfunction_matrix_rejects_negative_grid():
     table = airy_zeros(2)
     with pytest.raises(DomainError):
         eigenfunction_matrix(table, np.array([-0.1, 0.5]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_max", [1, 7])
+def test_eigenfunction_matrix_equals_serial_rows(monkeypatch, n_max,
+                                                 workers):
+    # the rows run on a thread pool, row k on worker k mod W: the result
+    # must be bit for bit that of one scipy call per row in one thread,
+    # also when n_max is below or not a multiple of W
+    monkeypatch.setattr(airy, "cores", lambda: workers)
+    table = airy_zeros(n_max)
+    xi = np.linspace(0.0, table.values[-1] + 20.0, 2001)
+    want = np.empty((n_max, xi.shape[0]))
+    for k in range(n_max):
+        want[k] = sps.airy(xi - table.values[k])[0]
+    want /= table.ai_prime[:, None]
+    assert np.array_equal(eigenfunction_matrix(table, xi), want)

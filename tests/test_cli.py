@@ -250,6 +250,16 @@ class TestOverrideValidation:
         error = _manifest(out, command)["error"]
         assert "ConfigError" in error and key in error
 
+    def test_bad_seed_variable_refused(self, tmp_path, desk_cfg,
+                                       monkeypatch):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        monkeypatch.setenv("QFALL_SEED", "abc")
+        out = str(tmp_path)
+        assert main(["fisher", "--config", desk_cfg, "--out", out]) == 1
+        error = _manifest(out, "fisher")["error"]
+        assert "ConfigError" in error and "QFALL_SEED" in error
+        assert "'abc'" in error
+
 
 class TestFailureAndPrecedence:
     def test_failed_run_leaves_manifest(self, tmp_path):

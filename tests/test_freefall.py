@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qfall.airy import eigenfunction, momentum_matrix
+from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
 from qfall.errors import ConfigError, DomainError
 from qfall.freefall import (GridSpec, MapMaker, _build_mode_grid, _node_rates,
                             annihilation_current, build_folded_map,
@@ -212,12 +212,15 @@ class TestFoldedMap:
 
     def test_mode_grid_zeroes_tails(self, basis, trap, recoil):
         # the chirp kernel sums every mode over the whole z grid, so each
-        # mode's support cut must be carried by zeros in its chi row
+        # mode's support cut must be carried by zeros in its chi row; rows
+        # are evaluated only up to the cut, bit for bit the full mode matrix
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
+        full = eigenfunction_matrix(basis.table, grid.xi)
         assert grid.idx_cut.min() < grid.xi.shape[0]
         for n, cut in enumerate(grid.idx_cut):
             assert grid.chi[n, :cut].any()
+            assert np.array_equal(grid.chi[n, :cut], full[n, :cut])
             assert not grid.chi[n, cut:].any()
 
     def test_z_refinement_stable(self, trap, recoil, desk_map):

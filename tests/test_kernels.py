@@ -1,16 +1,18 @@
 """Chirped mode-sum kernel: explicit truncated sums, quadrature oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qfall import kernels
 from qfall.errors import DomainError
 from qfall.kernels import mode_chirp_sums, simpson_weights
 
 
-def make_problem(n_modes=24, n_z=4097, seed=7):
+def make_problem(n_modes=24, n_z=4097, seed=7, k=9):
     rng = np.random.default_rng(seed)
     z = np.linspace(0.0, 1.2e-3, n_z)
     w = simpson_weights(n_z, z[1] - z[0])
@@ -22,7 +24,6 @@ def make_problem(n_modes=24, n_z=4097, seed=7):
         cut = int(rng.integers(n_z // 2, n_z + 1))
         chi_w[n, cut:] = 0.0
         idx_cut[n] = cut
-    k = 9
     alpha = 10 ** rng.uniform(5.5, 7.5, k)
     zprime = rng.uniform(-0.06, 0.06, k)
     invtau = rng.uniform(3.5, 4.5, k)
@@ -67,6 +68,36 @@ class TestEngines:
         assert np.abs(F.imag - want_f.imag).max() < 1e-13 * budget
         assert np.abs(G.real - want_g.real).max() < 1e-12 * budget
         assert np.abs(G.imag - want_g.imag).max() < 1e-12 * budget
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 129])
+    def test_equals_serial_chunk_loop(self, monkeypatch, k, workers):
+        # the chunk preparation runs on a thread pool split by rows; F and G
+        # must be bit for bit those of one serial loop over the same chunks
+        monkeypatch.setattr(kernels, "cores", lambda: workers)
+        chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(
+            n_modes=5, n_z=513, k=k)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers finely
+        try:
+            F, G = mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau,
+                                   gtau)
+        finally:
+            sys.setswitchinterval(interval)
+        want_f = np.empty_like(F)
+        want_g = np.empty_like(G)
+        chi_t = np.ascontiguousarray(chi_w.T)
+        for k0 in range(0, k, kernels._CHUNK_ROWS):
+            sl = slice(k0, min(k0 + kernels._CHUNK_ROWS, k))
+            d = zprime[sl][:, None] - z[None, :]
+            ph = alpha[sl][:, None] * d * d
+            c = np.cos(ph)
+            s = np.sin(ph)
+            v = d * invtau[sl][:, None] - gtau[sl][:, None]
+            want_f[sl] = (c @ chi_t) + 1j * (s @ chi_t)
+            want_g[sl] = ((c * v) @ chi_t) + 1j * ((s * v) @ chi_t)
+        assert np.array_equal(F, want_f)
+        assert np.array_equal(G, want_g)
 
     def test_shape_validation(self):
         chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(4, 513)
