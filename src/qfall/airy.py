@@ -14,14 +14,15 @@ representation is the half-line Fourier transform
 evaluated here by direct oscillation-resolved quadrature.
 
 Mode rows on a grid come from one evaluator, `_airy_rows`, which calls
-scipy's Airy ufunc once per row on a pool of `kernels.cores()` threads and
-can stop each row at its own sample count (the free-fall mode grid stops at
-each mode's support cut).
+scipy's Airy ufunc once per row on a pool of `cores()` threads and can stop
+each row at its own sample count (the free-fall mode grid stops at each
+mode's support cut).  This pool is the only one in the program.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import DomainError, NumericsError
-from .kernels import cores, simpson_weights
+from .kernels import simpson_weights
 from .physcore import CONSTANTS, GravScales
 
 #: Dimensionless support cut: Ai(x) has fallen below ~1e-16 of its peak for
@@ -100,6 +101,11 @@ def eigenfunction(n: int, z, table: AiryZeroTable, scales: GravScales):
     xi = z / scales.length
     out = sps.airy(xi - lam)[0] / (math.sqrt(scales.length) * table.ai_prime[n - 1])
     return np.where(z >= 0.0, out, 0.0)
+
+
+def cores() -> int:
+    """Cores this process may run on: the thread count of the row pool."""
+    return len(os.sched_getaffinity(0))
 
 
 def _airy_rows(table: AiryZeroTable, xi: np.ndarray,

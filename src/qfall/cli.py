@@ -182,6 +182,9 @@ def _cmd_end_of_mirror(cfg, args, out_dir):
 
 
 def _cmd_current_map(cfg, args, out_dir):
+    for flag, count in (("--ny", args.ny), ("--nT", args.nT)):
+        if count < 1:
+            raise ConfigError("%s must be at least 1, got %d" % (flag, count))
     trap, pd, geom, spec = _folded_components(cfg)
     basis = build_basis(cfg.n_max, cfg.g)
     win = fall_windows(basis, trap, pd, geom, spec)

@@ -469,9 +469,10 @@ def estimate_g(events: EventSet, family: GridDensityFamily,
     """Maximum-likelihood g from a scan plus parabolic refinement.
 
     The scan reads the family's node set over the window.  If the maximum
-    lands on a scan edge the window is doubled (up to MAX_WIDEN times), with
-    a node set built over the wider window, so a poorly guessed window
-    cannot silently truncate the estimate.
+    lands on a scan edge the window is doubled (up to MAX_WIDEN times, and
+    never to a window of 1 or more, which no node set covers), with a node
+    set built over the wider window, so a poorly guessed window cannot
+    silently truncate the estimate.
     """
     if events.n_detected == 0:
         raise DomainError("cannot estimate g from zero detected events")
@@ -480,7 +481,7 @@ def estimate_g(events: EventSet, family: GridDensityFamily,
         g_values = _scan_lattice(family.g0, rel_window, n_scan)
         ll = family.nodes(rel_window).scan(events, g_values, conditional)
         g_hat, sigma, on_edge = _refine_peak(g_values, ll)
-        if not on_edge or widened >= MAX_WIDEN:
+        if not on_edge or widened >= MAX_WIDEN or 2.0 * rel_window >= 1.0:
             return GravityEstimate(value=g_hat, sigma=sigma,
                                    scan_g=g_values, scan_ll=ll,
                                    widened=widened)

@@ -10,28 +10,19 @@ where chi_w carries the mode profiles with quadrature weights folded in.
 `mode_chirp_sums` chunks the lattice axis and maps the work onto real
 matrix products over the whole z grid; each mode's cut at `idx_cut` is
 carried by the zero tail of its chi_w row.  Each chunk's element-wise
-preparation (phases, cos, sin and the velocity factor) is split by rows over
-a pool of `cores()` threads; the four products then run in BLAS as one call
-each.  Every element goes through the same operations as in one serial
-loop, so the sums do not depend on the number of threads.
+preparation (phases, cos, sin and the velocity factor) runs serially into
+four reused chunk buffers; the four products then run in BLAS as one call
+each.  Splitting the preparation over threads gained nothing: OpenBLAS's
+threads keep spinning after each product and hold the cores.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DomainError
 
 _CHUNK_ROWS = 64
-
-
-def cores() -> int:
-    """Cores this process may run on: the thread count of the pools here
-    and in `airy`."""
-    return len(os.sched_getaffinity(0))
 
 
 def get_engine() -> str:
@@ -75,33 +66,23 @@ def mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
     F = np.empty((K, N), dtype=np.complex128)
     G = np.empty((K, N), dtype=np.complex128)
     chi_t = np.ascontiguousarray(chi_w.T)
-    # c, s, c*v and s*v of one chunk, filled row block by row block
+    # c, s, c*v and s*v of one chunk
     c, s, cv, sv = (np.empty((min(K, _CHUNK_ROWS), z.shape[0]))
                     for _ in range(4))
-
-    def prepare(k0, r0, r1):
-        sl = slice(k0 + r0, k0 + r1)
+    for k0 in range(0, K, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, K - k0)
+        sl = slice(k0, k0 + rows)
         # d (then v) lives in the c*v rows and the phase in the s rows until
-        # sin overwrites it, so the workers allocate nothing
-        d = np.subtract(zprime[sl][:, None], z[None, :], out=cv[r0:r1])
-        ph = np.multiply(alpha[sl][:, None], d, out=s[r0:r1])
+        # sin overwrites it, so the loop allocates no (rows, J) temporaries
+        d = np.subtract(zprime[sl][:, None], z[None, :], out=cv[:rows])
+        ph = np.multiply(alpha[sl][:, None], d, out=s[:rows])
         np.multiply(ph, d, out=ph)
-        np.cos(ph, out=c[r0:r1])
+        np.cos(ph, out=c[:rows])
         np.sin(ph, out=ph)
         v = np.multiply(d, invtau[sl][:, None], out=d)
         np.subtract(v, gtau[sl][:, None], out=v)
-        np.multiply(s[r0:r1], v, out=sv[r0:r1])
-        np.multiply(c[r0:r1], v, out=v)
-
-    workers = cores()
-    with ThreadPoolExecutor(workers) as pool:
-        for k0 in range(0, K, _CHUNK_ROWS):
-            rows = min(_CHUNK_ROWS, K - k0)
-            edges = [rows * i // workers for i in range(workers + 1)]
-            blocks = [(r0, r1) for r0, r1 in zip(edges, edges[1:]) if r1 > r0]
-            for done in [pool.submit(prepare, k0, *b) for b in blocks]:
-                done.result()
-            sl = slice(k0, k0 + rows)
-            F[sl] = (c[:rows] @ chi_t) + 1j * (s[:rows] @ chi_t)
-            G[sl] = (cv[:rows] @ chi_t) + 1j * (sv[:rows] @ chi_t)
+        np.multiply(s[:rows], v, out=sv[:rows])
+        np.multiply(c[:rows], v, out=v)
+        F[sl] = (c[:rows] @ chi_t) + 1j * (s[:rows] @ chi_t)
+        G[sl] = (cv[:rows] @ chi_t) + 1j * (sv[:rows] @ chi_t)
     return F, G

@@ -145,7 +145,6 @@ class PolarNodes:
     """
 
     u: np.ndarray
-    wu: np.ndarray      # bare Gauss-Legendre weights
     w_even: np.ndarray
     w_cos2: np.ndarray
     pol_angle: float
@@ -169,8 +168,7 @@ def polar_nodes(photodetach: PhotodetachConfig,
     if not photodetach.dipolar:
         # deterministic kick: one direction, unit angular weight; the
         # azimuth structure lives entirely in the Gaussian ridge
-        one = np.ones(1)
-        return PolarNodes(u=np.asarray([pol[2]]), wu=one, w_even=one,
+        return PolarNodes(u=np.asarray([pol[2]]), w_even=np.ones(1),
                           w_cos2=np.zeros(1), pol_angle=pol_angle)
     if folded and not (abs(pol[2]) < 1e-12 or abs(pol[2]) > 1.0 - 1e-12):
         raise ConfigError("folded maps and detector cuts support polarization "
@@ -180,6 +178,6 @@ def polar_nodes(photodetach: PhotodetachConfig,
     u, wu = np.polynomial.legendre.leggauss(int(n_polar))
     coef_even = 0.75 * ((1.0 - nz2) * (1.0 - u ** 2) + 2.0 * nz2 * u ** 2)
     coef_cos2 = 0.75 * (1.0 - nz2) * (1.0 - u ** 2)
-    return PolarNodes(u=u, wu=wu, w_even=wu * coef_even,
+    return PolarNodes(u=u, w_even=wu * coef_even,
                       w_cos2=wu * coef_cos2, pol_angle=pol_angle)
 

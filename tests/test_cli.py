@@ -111,6 +111,17 @@ class TestCurrentMap:
         man = _manifest(out, "current_map")
         assert man["resolved"]["ny"] == 9
 
+    @pytest.mark.parametrize("flag", ["--ny", "--nT"])
+    def test_empty_cut_refused_before_compute(self, tmp_path, desk_cfg,
+                                              monkeypatch, flag):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out,
+                     flag, "0"]) == 1
+        error = _manifest(out, "current_map")["error"]
+        assert "ConfigError" in error and flag in error
+        assert not (tmp_path / "current_map.csv").exists()
+
     def test_folded_export(self, tmp_path, desk_cfg):
         out = str(tmp_path)
         assert main(["current-map", "--config", desk_cfg, "--out", out,

@@ -197,6 +197,36 @@ class TestEstimator:
         assert nodes.g.max() == pytest.approx(est.scan_g[-1], rel=1e-14)
         assert nodes.g.min() == pytest.approx(est.scan_g[0], rel=1e-14)
 
+    @pytest.mark.parametrize("start, reached", [(0.125, 2), (0.3, 1),
+                                                (0.6, 0)])
+    def test_widening_stops_below_a_unit_window(self, start, reached):
+        # a scan that always peaks on its upper edge: the window doubles
+        # only while the doubled window stays below 1, which `nodes` refuses
+        class EdgeNodes:
+            def scan(self, events, g_values, conditional):
+                return g_values.copy()
+
+        class EdgeFamily:
+            g0 = 9.81
+
+            def __init__(self):
+                self.windows = []
+
+            def nodes(self, rel_window):
+                if not 0.0 < rel_window < 1.0:
+                    raise DomainError("the scan window must lie in (0, 1)")
+                self.windows.append(rel_window)
+                return EdgeNodes()
+
+        fam = EdgeFamily()
+        ev = EventSet(edge_time=np.ones(1), arrival_time=np.ones(1),
+                      azimuth=np.zeros(1), n_source=1, g_true=9.81)
+        est = estimate_g(ev, fam, rel_window=start, n_scan=5)
+        assert fam.windows == [start * 2 ** k for k in range(reached + 1)]
+        assert est.widened == reached
+        assert math.isnan(est.sigma)
+        assert est.value == est.scan_g[-1]
+
     def test_campaign_unbiased_and_efficient(self, family):
         res = run_campaign(family, 20_000, 40, seed=SEED)
         se_mean = res.sigma_mc / math.sqrt(res.n_replicates)
