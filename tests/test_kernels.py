@@ -68,17 +68,19 @@ class TestEngines:
         assert np.abs(G.real - want_g.real).max() < 1e-12 * budget
         assert np.abs(G.imag - want_g.imag).max() < 1e-12 * budget
 
+    @pytest.mark.parametrize("calls", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 63, 64, 65, 129])
-    def test_equals_serial_chunk_loop(self, k):
+    def test_equals_serial_chunk_loop(self, k, calls):
         # the kernel prepares each chunk in place in reused buffers; F and G
         # must be bit for bit those of a loop with fresh temporaries over the
-        # same chunks, also at and around the chunk edges
+        # same chunks, also at and around the chunk edges, and repeated calls
+        # must neither carry state over nor hand out shared arrays
         chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(
             n_modes=5, n_z=513, k=k)
-        F, G = mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau,
-                               gtau)
-        want_f = np.empty_like(F)
-        want_g = np.empty_like(G)
+        results = [mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau,
+                                   gtau) for _ in range(calls)]
+        want_f = np.empty_like(results[0][0])
+        want_g = np.empty_like(results[0][1])
         chi_t = np.ascontiguousarray(chi_w.T)
         for k0 in range(0, k, kernels._CHUNK_ROWS):
             sl = slice(k0, min(k0 + kernels._CHUNK_ROWS, k))
@@ -89,8 +91,9 @@ class TestEngines:
             v = d * invtau[sl][:, None] - gtau[sl][:, None]
             want_f[sl] = (c @ chi_t) + 1j * (s @ chi_t)
             want_g[sl] = ((c * v) @ chi_t) + 1j * ((s * v) @ chi_t)
-        assert np.array_equal(F, want_f)
-        assert np.array_equal(G, want_g)
+        for F, G in results:
+            assert np.array_equal(F, want_f)
+            assert np.array_equal(G, want_g)
 
     def test_shape_validation(self):
         chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(4, 513)
