@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .config import RunConfig, build_components, config_hash, parse_config
 from .errors import ConfigError, DomainError, NumericsError
 from .freefall import (FoldedMap, GridSpec, MapMaker, annihilation_current,
-                       build_folded_map, current_map_yt)
+                       current_map_yt)
 from .gqs import build_basis, transmitted_fraction
 from .inference import (EventSet, GridDensityFamily, cramer_rao_sigma,
                         estimate_g, fisher_information, log_likelihood,
@@ -23,7 +23,7 @@ __all__ = [
     "__version__", "RunConfig", "build_components", "config_hash",
     "parse_config", "ConfigError", "DomainError", "NumericsError",
     "FoldedMap",
-    "GridSpec", "MapMaker", "annihilation_current", "build_folded_map",
+    "GridSpec", "MapMaker", "annihilation_current",
     "current_map_yt", "build_basis",
     "transmitted_fraction", "EventSet", "GridDensityFamily",
     "cramer_rao_sigma", "estimate_g", "fisher_information", "log_likelihood",

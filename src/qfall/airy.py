@@ -74,6 +74,12 @@ class AiryZeroTable:
             raise DomainError(f"mode index {n} outside [1, {self.n_max}]")
         return float(self.values[n - 1])
 
+    @property
+    def support(self) -> np.ndarray:
+        """Support cut lam_n + SUPPORT_PAD of every mode, in units of the
+        gravitational length."""
+        return self.values + SUPPORT_PAD
+
 
 def airy_zeros(n_max: int) -> AiryZeroTable:
     """First n_max zeros of Ai with the matching Ai' values."""
@@ -87,11 +93,6 @@ def airy_zeros(n_max: int) -> AiryZeroTable:
     if np.any(~np.isfinite(lam)) or np.any(aip == 0.0):
         raise NumericsError("Airy zero computation returned invalid values")
     return AiryZeroTable(n_max=int(n_max), values=lam, ai_prime=aip)
-
-
-def support_cut(n: int, table: AiryZeroTable, scales: GravScales) -> float:
-    """Height beyond which mode n is numerically negligible."""
-    return (table.lam(n) + SUPPORT_PAD) * scales.length
 
 
 def eigenfunction(n: int, z, table: AiryZeroTable, scales: GravScales):

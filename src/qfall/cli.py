@@ -21,7 +21,7 @@ from . import __version__
 from .config import (RunConfig, _validate, build_components, config_dict,
                      config_hash, resolve_config)
 from .errors import ConfigError
-from .freefall import build_folded_map, current_map_yt, fall_windows
+from .freefall import MapMaker, current_map_yt, fall_windows
 from .gqs import build_basis, classical_cutoff_velocity, transmitted_fraction
 from .inference import (EventSet, GridDensityFamily, count_information,
                         cramer_rao_sigma, estimate_g, fisher_information,
@@ -57,7 +57,7 @@ def _read_events_csv(path: str) -> EventSet:
     header = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             s = line.strip()
             if not s:
                 continue
@@ -67,13 +67,24 @@ def _read_events_csv(path: str) -> EventSet:
                     key, value = body.split("=", 1)
                     meta[key.strip()] = value.strip()
                 continue
+            where = "%s line %d" % (path, line_no)
             if header is None:
                 header = [c.strip() for c in s.split(",")]
+                for name in ("t_s", "T_s", "phi_rad"):
+                    if name not in header:
+                        raise ConfigError("%s: no %r column" % (where, name))
                 continue
-            rows.append([float(x) for x in s.split(",")])
+            tokens = s.split(",")
+            if len(tokens) != len(header):
+                raise ConfigError("%s: %d values for %d columns"
+                                  % (where, len(tokens), len(header)))
+            try:
+                rows.append([float(x) for x in tokens])
+            except ValueError as exc:
+                raise ConfigError("%s: %s" % (where, exc)) from None
     if header is None or "n_source" not in meta:
-        raise ValueError("%s is not an event file (missing header or "
-                         "n_source)" % path)
+        raise ConfigError("%s is not an event file (missing header or "
+                          "n_source)" % path)
     arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     cols = {name: arr[:, k] for k, name in enumerate(header)}
     return EventSet(edge_time=cols["t_s"], arrival_time=cols["T_s"],
@@ -137,11 +148,11 @@ def _cmd_scales(cfg, args, out_dir):
 def _cmd_basis(cfg, args, out_dir):
     basis = build_basis(cfg.n_max, cfg.g)
     n = np.arange(1, cfg.n_max + 1)
-    support = np.asarray([basis.mode_support(int(k)) for k in n])
     _write_csv(os.path.join(out_dir, "basis.csv"),
                {"g_mps2": "%.17g" % cfg.g, "n_max": cfg.n_max},
                ["n", "lambda_n", "ai_prime_n", "support_m"],
-               [n, basis.table.values, basis.table.ai_prime, support])
+               [n, basis.table.values, basis.table.ai_prime,
+                basis.table.support * basis.scales.length])
     return ["basis.csv"], {"lambda_max": float(basis.lam_max)}
 
 
@@ -187,7 +198,7 @@ def _cmd_current_map(cfg, args, out_dir):
             raise ConfigError("%s must be at least 1, got %d" % (flag, count))
     trap, pd, geom, spec = _folded_components(cfg)
     basis = build_basis(cfg.n_max, cfg.g)
-    win = fall_windows(basis, trap, pd, geom, spec)
+    win = fall_windows(basis, trap, pd, geom)
     T_lo = args.T_min if args.T_min is not None else (
         win["t_lo"] + win["tau_lo"])
     T_hi = args.T_max if args.T_max is not None else (
@@ -213,7 +224,7 @@ def _cmd_current_map(cfg, args, out_dir):
     resolved = {"ny": args.ny, "nT": args.nT, "windows": win,
                 "n_z": dm.metadata["n_z"]}
     if args.folded:
-        fm = build_folded_map(cfg.n_max, trap, pd, geom, spec, g=cfg.g)
+        fm = MapMaker(cfg.n_max, trap, pd, geom, spec, g0=cfg.g).build(cfg.g)
         tt, TT2 = np.meshgrid(fm.t, fm.T, indexing="ij")
         _write_csv(os.path.join(out_dir, "folded_map.csv"),
                    {"g_mps2": "%.17g" % cfg.g, "jacobian": fm.jacobian,

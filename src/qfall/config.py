@@ -56,8 +56,6 @@ class RunConfig:
     t_nodes: int = GridSpec.t_nodes
     z_samples: float = GridSpec.z_samples
     n_polar: int = GridSpec.n_polar
-    horizontal_sigmas: float = GridSpec.horizontal_sigmas
-    vertical_pad_scales: float = GridSpec.vertical_pad_scales
     jacobian: str = GridSpec.jacobian
     likelihood: str = "conditional"
     n_source: int = 20000
@@ -82,8 +80,6 @@ KEYS = {
     "grid.t_nodes": ("t_nodes", None, int),
     "grid.z_samples": ("z_samples", None, float),
     "grid.n_polar": ("n_polar", None, int),
-    "grid.horizontal_sigmas": ("horizontal_sigmas", None, float),
-    "grid.vertical_pad_scales": ("vertical_pad_scales", None, float),
     "freefall.jacobian": ("jacobian", None, str),
     "inference.likelihood": ("likelihood", None, str),
     "inference.n_source": ("n_source", None, int),
@@ -192,11 +188,6 @@ def _validate(cfg: RunConfig):
     _grid_spec(cfg)
 
 
-def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
 def _format_value(key: str, value) -> str:
     _, dim, typ = KEYS[key]
     if key == "source.polarization":
@@ -237,13 +228,12 @@ def resolve_config(path: Optional[str]) -> RunConfig:
     """File if given, reference setup otherwise."""
     if path is None:
         return RunConfig()
-    return load_config(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())
 
 
 def _grid_spec(cfg: RunConfig) -> GridSpec:
     return GridSpec(fringe_samples=cfg.fringe_samples, t_nodes=cfg.t_nodes,
-                    horizontal_sigmas=cfg.horizontal_sigmas,
-                    vertical_pad_scales=cfg.vertical_pad_scales,
                     z_samples=cfg.z_samples, n_polar=cfg.n_polar,
                     jacobian=cfg.jacobian)
 

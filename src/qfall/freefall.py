@@ -15,7 +15,7 @@ fall takes tau = T - t; on a lattice where the t step is an integer multiple
 of the T step, every cell's tau lands on one shared tau lattice and the
 chirp sums are computed once per tau value.
 
-The detector-plane observables come in three forms: `build_folded_map` (the
+The detector-plane observables come in three forms: `MapMaker.build` (the
 azimuth-integrated (t, T) density used for estimation, with the kick azimuth
 reduced to exponentially scaled Bessel weights), `current_map_yt` (the
 unfolded density on a (Y, T) cut through the detector plane), and
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 import scipy.special as sps
 
-from .airy import SUPPORT_PAD, _airy_rows
+from .airy import _airy_rows
 from .errors import ConfigError, DomainError
 from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
@@ -65,29 +65,6 @@ def propagator_kernel(z_to, z_from, tau: float,
               - g * g * tau ** 3 / 24.0)
     pref = math.sqrt(m / (2.0 * math.pi * hbar * tau)) * np.exp(-0.25j * math.pi)
     return pref * np.exp(1j * (m / hbar) * action)
-
-
-@dataclass(frozen=True)
-class PropagationContext:
-    """Per-(tau, detector point) quantities of the factorized propagator."""
-
-    tau: float
-    gravity: float
-    detector_z: np.ndarray
-    zprime: np.ndarray
-    phase: np.ndarray  # Phi, the z-independent part
-
-
-def make_context(tau: float, detector_z,
-                 g: float = G_DEFAULT) -> PropagationContext:
-    if tau <= 0.0:
-        raise DomainError("propagation time must be positive")
-    Z = np.atleast_1d(np.asarray(detector_z, dtype=float))
-    zprime = Z + 0.5 * g * tau * tau
-    phi = (CONSTANTS.atom_mass * g * tau / CONSTANTS.hbar) * (
-        Z + g * tau * tau / 6.0)
-    return PropagationContext(tau=tau, gravity=g, detector_z=Z,
-                              zprime=zprime, phase=phi)
 
 
 def _chirp_sums(chi_w, z, idx_cut, tau, detector_z, g: float):
@@ -125,17 +102,16 @@ def propagate_profile(z, psi, tau: float, detector_z, g: float = G_DEFAULT):
     (hbar / i m) d(psi_det)/dZ, the velocity-weighted amplitude whose product
     with conj(psi_det) gives the probability current.
     """
-    ctx = make_context(tau, detector_z, g)
-    SF, SG = _profile_sums(z, psi, tau, ctx.detector_z, g)
+    if tau <= 0.0:
+        raise DomainError("propagation time must be positive")
+    Z = np.atleast_1d(np.asarray(detector_z, dtype=float))
+    SF, SG = _profile_sums(z, psi, tau, Z, g)
+    phi = (CONSTANTS.atom_mass * g * tau / CONSTANTS.hbar) * (
+        Z + g * tau * tau / 6.0)
     pref = math.sqrt(CONSTANTS.atom_mass
                      / (2.0 * math.pi * CONSTANTS.hbar * tau)) * np.exp(
-        -0.25j * math.pi - 1j * ctx.phase)
+        -0.25j * math.pi - 1j * phi)
     return pref * SF, pref * SG
-
-
-def detection_rate(psi_det, vterm):
-    """Downward probability flux -Re(conj(psi) vterm) at the detector."""
-    return -np.real(np.conj(psi_det) * vterm)
 
 
 def plane_current(z, psi, tau_values, detector_z: float,
@@ -152,14 +128,18 @@ def plane_current(z, psi, tau_values, detector_z: float,
 # ---------------------------------------------------------------------------
 # grids and windows
 
+#: Half-width of the landing-speed window, in trap velocity spreads.
+HORIZONTAL_SIGMAS = 4.0
+#: Extra vertical velocity cut beyond the ladder top, in units of v_g.
+VERTICAL_PAD_SCALES = 4.0
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and window controls for the estimation map."""
+    """Lattice resolution and Jacobian choice for the estimation map."""
 
     fringe_samples: float = 5.0       # T samples per fastest mode beat
     t_nodes: int = 56                 # target size of the coarse t axis
-    horizontal_sigmas: float = 4.0    # half-width of the landing-speed window
-    vertical_pad_scales: float = 4.0  # extra velocity cut in units of v_g
     z_samples: float = 12.0           # samples per shortest z wavelength
     n_polar: int = DEFAULT_POLAR_NODES  # Gauss-Legendre nodes in the tilt
     jacobian: str = "tau"             # 'tau' (as printed) or 'T' (flux exact)
@@ -167,8 +147,7 @@ class GridSpec:
     def __post_init__(self):
         if self.jacobian not in ("tau", "T"):
             raise ConfigError("jacobian must be 'tau' or 'T'")
-        for name in ("fringe_samples", "t_nodes", "horizontal_sigmas",
-                     "vertical_pad_scales", "z_samples", "n_polar"):
+        for name in ("fringe_samples", "t_nodes", "z_samples", "n_polar"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError("%s must be finite" % name)
         if self.fringe_samples < 2.0:
@@ -176,17 +155,13 @@ class GridSpec:
         if not self.z_samples >= 2.0:
             raise ConfigError("z_samples: need at least 2 samples per z "
                               "wavelength")
-        if not (self.horizontal_sigmas >= 0.0
-                and self.vertical_pad_scales >= 0.0):
-            raise ConfigError("horizontal_sigmas and vertical_pad_scales "
-                              "must be nonnegative")
         if self.t_nodes < 8:
             raise ConfigError("need at least 8 release-time nodes")
 
 
 def fall_windows(basis: GQSBasis, trap: TrapConfig,
-                 photodetach: PhotodetachConfig, geometry: DiskGeometry,
-                 spec: GridSpec = GridSpec()) -> dict:
+                 photodetach: PhotodetachConfig,
+                 geometry: DiskGeometry) -> dict:
     """Landing-speed and fall-time windows that carry the transmitted flux."""
     v_hor = photodetach.recoil_velocity * math.sqrt(
         max(0.0, 1.0 - photodetach.polarization[2] ** 2))
@@ -198,13 +173,13 @@ def fall_windows(basis: GQSBasis, trap: TrapConfig,
         v_hi_center = photodetach.recoil_velocity
     else:
         v_lo_center = v_hi_center = v_hor
-    pad = spec.horizontal_sigmas * trap.velocity_spread
+    pad = HORIZONTAL_SIGMAS * trap.velocity_spread
     v_lo = max(v_lo_center - pad, 0.5 * trap.velocity_spread)
     v_hi = v_hi_center + pad
     t_lo = geometry.travel_distance / v_hi
     t_hi = geometry.travel_distance / v_lo
     v_cut = (classical_cutoff_velocity(basis, geometry.release_height)
-             + spec.vertical_pad_scales * basis.scales.velocity)
+             + VERTICAL_PAD_SCALES * basis.scales.velocity)
     g = basis.scales.g
     drop = 2.0 * g * (geometry.fall_height + geometry.release_height)
     root = math.sqrt(v_cut * v_cut + drop)
@@ -233,7 +208,7 @@ class GridAxes:
 def grid_axes(basis: GQSBasis, trap: TrapConfig,
               photodetach: PhotodetachConfig, geometry: DiskGeometry,
               spec: GridSpec = GridSpec()) -> GridAxes:
-    win = fall_windows(basis, trap, photodetach, geometry, spec)
+    win = fall_windows(basis, trap, photodetach, geometry)
     fringe = 2.0 * math.pi * basis.scales.time / basis.lam_max
     step = fringe / spec.fringe_samples
     stride = max(1, int(round((win["t_hi"] - win["t_lo"])
@@ -283,9 +258,9 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     xi_sup = z_sup / scales.length
     xi = np.linspace(0.0, xi_sup, count)
     wxi = simpson_weights(count, xi[1] - xi[0])
-    cuts = basis.table.values + SUPPORT_PAD
-    idx_cut = np.minimum(np.searchsorted(xi, cuts, side="right"),
-                         count).astype(np.int64)
+    idx_cut = np.minimum(
+        np.searchsorted(xi, basis.table.support, side="right"),
+        count).astype(np.int64)
     chi = _airy_rows(basis.table, xi, idx_cut)
     return ModeGrid(xi=xi, wxi=wxi, chi=chi, idx_cut=idx_cut)
 
@@ -411,8 +386,7 @@ class MapMaker:
         d = geom.travel_distance
 
         density = np.zeros((n_t, n_T))
-        even = np.zeros((n_t, n_T))
-        cos2 = np.zeros((n_t, n_T)) if pd.dipolar else None
+        ratio = np.zeros((n_t, n_T)) if pd.dipolar else None
         concentration = np.zeros(n_t) if not pd.dipolar else None
         neg_mass = 0.0
         pos_mass = 0.0
@@ -423,10 +397,11 @@ class MapMaker:
             gauss = np.exp(-(pbar - qbar) ** 2 / (2.0 * dp * dp))
             block = slice(i * stride, i * stride + M)
             A = (nodes.w_even * gauss * sps.ive(0, kappa)) @ rate
-            even[i, block] = A
             if pd.dipolar:
-                cos2[i, block] = (nodes.w_cos2 * gauss
-                                  * sps.ive(2, kappa)) @ rate
+                C = (nodes.w_cos2 * gauss * sps.ive(2, kappa)) @ rate
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ratio[i, block] = np.clip(np.where(
+                        A > 0.0, C / np.maximum(A, 1e-300), 0.0), 0.0, 1.0)
             else:
                 concentration[i] = kappa[0]
             Tj = axes.T[block]
@@ -437,13 +412,6 @@ class MapMaker:
             pos_mass += P[P > 0.0].sum()
             density[i, block] = np.maximum(P, 0.0)
 
-        if pd.dipolar:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(even > 0.0, cos2 / np.maximum(even, 1e-300),
-                                 0.0)
-            ratio = np.clip(ratio, 0.0, 1.0)
-        else:
-            ratio = None
         meta = {"fraction": fraction,
                 "clipped_mass": float(neg_mass / max(pos_mass, 1e-300)),
                 "n_z": int(self.mode_grid.xi.shape[0]), "n_tau": int(M),
@@ -455,14 +423,6 @@ class MapMaker:
                          pol_angle=nodes.pol_angle, azimuth_ratio=ratio,
                          concentration=concentration,
                          jacobian=spec.jacobian, metadata=meta)
-
-
-def build_folded_map(n_max: int, trap: TrapConfig,
-                     photodetach: PhotodetachConfig, geometry: DiskGeometry,
-                     spec: GridSpec = GridSpec(),
-                     g: float = G_DEFAULT) -> FoldedMap:
-    """One-shot folded map at a single gravity value."""
-    return MapMaker(n_max, trap, photodetach, geometry, spec, g0=g).build(g)
 
 
 # ---------------------------------------------------------------------------

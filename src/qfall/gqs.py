@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import (AiryZeroTable, Z_MAX_PAD, airy_zeros, eigenfunction_matrix,
-                   support_cut)
+from .airy import AiryZeroTable, Z_MAX_PAD, airy_zeros, eigenfunction_matrix
 from .errors import DomainError
 from .physcore import G_DEFAULT, GravScales, derive_scales
 from .source import (DEFAULT_POLAR_NODES, PhotodetachConfig, TrapConfig,
@@ -54,9 +53,6 @@ class GQSBasis:
     @property
     def lam_max(self) -> float:
         return float(self.table.values[-1])
-
-    def mode_support(self, n: int) -> float:
-        return support_cut(n, self.table, self.scales)
 
 
 def build_basis(n_max: int, g: float = G_DEFAULT, z_max: float | None = None,

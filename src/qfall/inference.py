@@ -508,28 +508,24 @@ def fisher_information(family: GridDensityFamily,
     return float((m[mask] / Z * score * score).sum())
 
 
-def _count_information(nodes: MapNodes) -> float:
-    p = nodes.center.metadata["fraction"]
-    dp = nodes.slope @ nodes.fraction
-    return float(dp * dp / (p * (1.0 - p)))
-
-
 def count_information(family: GridDensityFamily,
                       rel_window: float = REL_WINDOW) -> float:
     """Per-source-atom information in the detected/not-detected split at
     g0."""
-    return _count_information(family.nodes(rel_window))
+    nodes = family.nodes(rel_window)
+    p = nodes.center.metadata["fraction"]
+    dp = nodes.slope @ nodes.fraction
+    return float(dp * dp / (p * (1.0 - p)))
 
 
 def cramer_rao_sigma(family: GridDensityFamily, n_source: int,
                      conditional: bool = True,
                      rel_window: float = REL_WINDOW) -> float:
     """Lower bound on sigma_g at g0 for one experiment of n_source atoms."""
-    nodes = family.nodes(rel_window)
-    p = nodes.center.metadata["fraction"]
+    p = family.nodes(rel_window).center.metadata["fraction"]
     info = n_source * p * fisher_information(family, rel_window)
     if not conditional:
-        info += n_source * _count_information(nodes)
+        info += n_source * count_information(family, rel_window)
     return 1.0 / math.sqrt(info)
 
 
@@ -581,15 +577,14 @@ def run_campaign(family: GridDensityFamily, n_source: int,
         raise DomainError("need at least 2 replicates for a spread")
     g_true = family.g0
     builds = family.builds
-    fmap_true = family.map_at(g_true)
-    events = [sample_events(fmap_true, n_source, replicate_rng(seed, r))
+    g_values = _scan_lattice(g_true, rel_window, n_scan)
+    nodes = family.nodes(rel_window)
+    events = [sample_events(nodes.center, n_source, replicate_rng(seed, r))
               for r in range(n_replicates)]
     if min(ev.n_detected for ev in events) == 0:
         raise DomainError("a replicate detected zero events; "
                           "raise the source count")
 
-    g_values = _scan_lattice(family.g0, rel_window, n_scan)
-    nodes = family.nodes(rel_window)
     estimates = np.empty(n_replicates)
     sigmas = np.empty(n_replicates)
     edge_hits = 0

@@ -57,7 +57,6 @@ class PhotodetachConfig:
     recoil_momentum: float
     recoil_velocity: float
     polarization: tuple
-    kick_velocity: float = 0.0
 
     @property
     def dipolar(self) -> bool:
@@ -87,8 +86,7 @@ def build_photodetach(detachment_energy: float, polarization=(0.0, 1.0, 0.0),
     return PhotodetachConfig(detachment_energy=detachment_energy,
                              recoil_momentum=q,
                              recoil_velocity=q / CONSTANTS.atom_mass,
-                             polarization=tuple(pol),
-                             kick_velocity=kick_velocity)
+                             polarization=tuple(pol))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from qfall import airy
 from qfall.airy import (AiryZeroTable, airy_zero_guess, airy_zeros,
                         eigenfunction, eigenfunction_matrix,
-                        eigenfunction_momentum, momentum_matrix, support_cut)
+                        eigenfunction_momentum, momentum_matrix)
 from qfall.errors import DomainError
 from qfall.physcore import derive_scales
 
@@ -155,7 +155,7 @@ def test_eigenfunction_si_properties():
     # SI normalization on a fine trapezoid
     norm = np.trapezoid(chi ** 2, z)
     assert norm == pytest.approx(1.0, abs=1e-5)
-    cut = support_cut(1, table, SCALES)
+    cut = table.support[0] * SCALES.length
     tail = eigenfunction(1, np.array([cut]), table, SCALES)[0]
     assert abs(tail) < 1e-10 * np.max(np.abs(chi))
 

@@ -7,6 +7,7 @@ whole module stays in tens of seconds.
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -141,13 +142,13 @@ class TestSimulateEstimate:
         out_b = str(tmp_path / "b")
         assert main(["simulate", "--config", desk_cfg, "--out", out_a]) == 0
         assert main(["simulate", "--config", desk_cfg, "--out", out_b]) == 0
-        bytes_a = open(os.path.join(out_a, "events.csv"), "rb").read()
-        bytes_b = open(os.path.join(out_b, "events.csv"), "rb").read()
+        bytes_a = (tmp_path / "a" / "events.csv").read_bytes()
+        bytes_b = (tmp_path / "b" / "events.csv").read_bytes()
         assert bytes_a == bytes_b
         out_c = str(tmp_path / "c")
         assert main(["simulate", "--config", desk_cfg, "--out", out_c,
                      "--seed", "43"]) == 0
-        assert open(os.path.join(out_c, "events.csv"), "rb").read() != bytes_a
+        assert (tmp_path / "c" / "events.csv").read_bytes() != bytes_a
 
         events = _read_events_csv(os.path.join(out_a, "events.csv"))
         assert events.n_source == 20000
@@ -170,6 +171,23 @@ class TestSimulateEstimate:
         events = _read_events_csv(os.path.join(out, "events.csv"))
         # %.17g preserves doubles exactly, so T - t stays positive
         assert (events.arrival_time - events.edge_time).min() > 0
+
+    @pytest.mark.parametrize("body, detail", [
+        ("t_s,T_s,rbar_m\n0.05,0.3,0.3\n", "line 3: no 'phi_rad' column"),
+        ("t_s,T_s,phi_rad,rbar_m\n0.05,0.3,1.0\n",
+         "line 4: 3 values for 4 columns"),
+        ("t_s,T_s,phi_rad,rbar_m\n0.05,0.3,abc,0.3\n", "line 4: .*'abc'"),
+    ], ids=["missing_column", "short_row", "bad_number"])
+    def test_bad_event_file_refused(self, tmp_path, desk_cfg, body, detail):
+        path = tmp_path / "events.csv"
+        path.write_text("# qfall 0.1.0\n# n_source = 100\n" + body)
+        out = str(tmp_path / "out")
+        assert main(["estimate", "--config", desk_cfg, "--out", out,
+                     "--events", str(path)]) == 1
+        error = _manifest(out, "estimate")["error"]
+        assert error.startswith("ConfigError: %s" % path)
+        assert re.search(detail, error)
+        assert not os.path.exists(os.path.join(out, "estimate.json"))
 
 
 class TestFisherCampaign:

@@ -187,6 +187,9 @@ class TestBasis:
         assert classical_cutoff_velocity(basis, 2.0 * top) == 0.0
 
     def test_mode_support(self, basis):
-        s = basis.mode_support(1)
-        assert s == pytest.approx((basis.table.lam(1) + 15.0)
-                                  * basis.scales.length, rel=1e-14)
+        # every mode is cut 15 gravitational lengths above its turning point
+        s = basis.table.support * basis.scales.length
+        assert s[0] == pytest.approx((basis.table.lam(1) + 15.0)
+                                     * basis.scales.length, rel=1e-14)
+        assert np.array_equal(s, (basis.table.values + 15.0)
+                              * basis.scales.length)

@@ -257,6 +257,14 @@ class TestEstimator:
         assert fam.nodes(4e-4).x.shape[0] == 9
         assert res.node_tail <= NODE_TAIL
 
+    def test_bad_scan_fails_before_any_build(self):
+        fam = GridDensityFamily(50, build_trap(20e3),
+                                build_photodetach(10e-6 * EV), GEO)
+        for bad in (dict(n_scan=4), dict(rel_window=1.5)):
+            with pytest.raises(DomainError):
+                run_campaign(fam, 1000, 3, seed=SEED, **bad)
+            assert fam.builds == 0
+
 
 class TestMapNodes:
     @pytest.mark.parametrize("rel_window, count", [(4e-4, 9), (1.6e-3, 17)])
