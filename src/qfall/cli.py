@@ -52,6 +52,10 @@ def _write_csv(path: str, meta: dict, header, columns) -> None:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
+#: Event-file header values read by `_read_events_csv`, with their types.
+_HEADER_KEYS = {"n_source": int, "g_true": float}
+
+
 def _read_events_csv(path: str) -> EventSet:
     meta = {}
     header = None
@@ -61,13 +65,16 @@ def _read_events_csv(path: str) -> EventSet:
             s = line.strip()
             if not s:
                 continue
-            if s.startswith("#"):
-                body = s[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
             where = "%s line %d" % (path, line_no)
+            if s.startswith("#"):
+                key, eq, value = (x.strip() for x in s[1:].partition("="))
+                if eq and key in _HEADER_KEYS:
+                    try:
+                        meta[key] = _HEADER_KEYS[key](value)
+                    except ValueError as exc:
+                        raise ConfigError("%s: %s: %s"
+                                          % (where, key, exc)) from None
+                continue
             if header is None:
                 header = [c.strip() for c in s.split(",")]
                 for name in ("t_s", "T_s", "phi_rad"):
@@ -89,8 +96,8 @@ def _read_events_csv(path: str) -> EventSet:
     cols = {name: arr[:, k] for k, name in enumerate(header)}
     return EventSet(edge_time=cols["t_s"], arrival_time=cols["T_s"],
                     azimuth=cols["phi_rad"],
-                    n_source=int(meta["n_source"]),
-                    g_true=float(meta.get("g_true", "nan")))
+                    n_source=meta["n_source"],
+                    g_true=meta.get("g_true", float("nan")))
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:

@@ -196,18 +196,81 @@ def test_eigenfunction_matrix_rejects_negative_grid():
         eigenfunction_matrix(table, np.array([-0.1, 0.5]))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("n_max", [1, 7])
-def test_eigenfunction_matrix_equals_serial_rows(monkeypatch, n_max,
-                                                 workers):
-    # the rows run on a thread pool, row k on worker k mod W: the result
-    # must be bit for bit that of one scipy call per row in one thread,
-    # also when n_max is below or not a multiple of W
-    monkeypatch.setattr(airy, "cores", lambda: workers)
+def test_eigenfunction_matrix_equals_serial_rows(n_max, stride):
+    # bit for bit one scipy call per row, also on a strided view of a grid
     table = airy_zeros(n_max)
-    xi = np.linspace(0.0, table.values[-1] + 20.0, 2001)
+    xi = np.linspace(0.0, table.values[-1] + 20.0, 2001 * stride)[::stride]
     want = np.empty((n_max, xi.shape[0]))
     for k in range(n_max):
         want[k] = sps.airy(xi - table.values[k])[0]
     want /= table.ai_prime[:, None]
     assert np.array_equal(eigenfunction_matrix(table, xi), want)
+
+
+def _row_error(got, want):
+    """Largest deviation of each row, relative to that row's maximum."""
+    return np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+
+
+@pytest.mark.parametrize("n_max, reach", [(1, 1.32), (1, 0.22), (40, 1.32)])
+def test_shifted_rows_full_width(n_max, reach):
+    # stops equal to the grid length: whole rows, against scipy per row;
+    # reach = h sqrt(lam_max) of 1.32 is that of z_samples = 2
+    table = airy_zeros(n_max)
+    step = reach / math.sqrt(table.values[-1])
+    count = int((table.values[-1] + 20.0) / step) + 1
+    got = airy._airy_rows(table, step, np.full(n_max, count), count)
+    want = eigenfunction_matrix(table, step * np.arange(count))
+    assert np.max(_row_error(got, want)) <= 1e-12
+
+
+def test_shifted_rows_half_step_and_stops():
+    # lam_20 on a half step of the grid, |delta| = h/2 whichever way it
+    # rounds; rows stop at their own counts and are 0.0 beyond
+    table = airy_zeros(20)
+    step = table.values[-1] / 64.5
+    count = 200
+    stops = np.arange(0, 200, 10)
+    got = airy._airy_rows(table, step, stops, count)
+    full = eigenfunction_matrix(table, step * np.arange(count))
+    for k, stop in enumerate(stops):
+        assert not got[k, stop:].any()
+        if stop:
+            err = np.max(np.abs(got[k, :stop] - full[k, :stop]))
+            assert err <= 1e-12 * np.max(np.abs(full[k]))
+
+
+def test_shifted_rows_truncation(monkeypatch):
+    # the derived term count leaves less than 1e-15 of each row's maximum
+    # to the dropped terms: eight more terms change no row by more
+    table = airy_zeros(300)
+    terms = airy._taylor_terms
+    for reach in (1.32, 0.66, 0.22):
+        step = reach / math.sqrt(table.values[-1])
+        count = int((table.values[-1] + 15.0) / step) + 1
+        stops = np.full(300, count)
+        got = airy._airy_rows(table, step, stops, count)
+        monkeypatch.setattr(airy, "_taylor_terms", lambda r: terms(r) + 8)
+        more = airy._airy_rows(table, step, stops, count)
+        monkeypatch.setattr(airy, "_taylor_terms", terms)
+        assert np.max(_row_error(got, more)) < 1e-15
+
+
+def test_shifted_rows_against_high_precision():
+    # top modes of the 300-mode ladder at the coarsest grid GridSpec allows
+    # (h sqrt(lam_max) = 1.32), against 30-digit mpmath at the same float
+    # arguments
+    mpmath.mp.dps = 30
+    table = airy_zeros(300)
+    step = 1.32 / math.sqrt(table.values[-1])
+    count = int((table.values[-1] + 15.0) / step) + 1
+    rows = airy._airy_rows(table, step, np.full(300, count), count)
+    for n in (250, 299, 300):
+        lam = mpmath.mpf(float(table.values[n - 1]))
+        norm = mpmath.airyai(-lam, 1)
+        row = rows[n - 1]
+        for j in np.linspace(0, count - 1, 12).astype(int):
+            ref = mpmath.airyai(mpmath.mpf(float(step * j)) - lam) / norm
+            assert abs(row[j] - float(ref)) <= 1e-12 * np.max(np.abs(row))

@@ -177,7 +177,12 @@ class TestSimulateEstimate:
         ("t_s,T_s,phi_rad,rbar_m\n0.05,0.3,1.0\n",
          "line 4: 3 values for 4 columns"),
         ("t_s,T_s,phi_rad,rbar_m\n0.05,0.3,abc,0.3\n", "line 4: .*'abc'"),
-    ], ids=["missing_column", "short_row", "bad_number"])
+        ("# n_source = 1e3x\nt_s,T_s,phi_rad\n0.05,0.3,1.0\n",
+         "line 3: n_source: .*'1e3x'"),
+        ("# g_true = 9.8.1\nt_s,T_s,phi_rad\n0.05,0.3,1.0\n",
+         "line 3: g_true: .*'9.8.1'"),
+    ], ids=["missing_column", "short_row", "bad_number", "bad_n_source",
+            "bad_g_true"])
     def test_bad_event_file_refused(self, tmp_path, desk_cfg, body, detail):
         path = tmp_path / "events.csv"
         path.write_text("# qfall 0.1.0\n# n_source = 100\n" + body)

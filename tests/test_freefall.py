@@ -5,9 +5,11 @@ work while exercising the identical code paths used at full scale.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
 from qfall.errors import ConfigError, DomainError
@@ -201,15 +203,31 @@ class TestFoldedMap:
     def test_mode_grid_zeroes_tails(self, basis, trap, recoil):
         # the chirp kernel sums every mode over the whole z grid, so each
         # mode's support cut must be carried by zeros in its chi row; rows
-        # are evaluated only up to the cut, bit for bit the full mode matrix
+        # are evaluated only up to the cut, where they match the full mode
+        # matrix to 1e-12 of each row's maximum
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
         full = eigenfunction_matrix(basis.table, grid.xi)
         assert grid.idx_cut.min() < grid.xi.shape[0]
         for n, cut in enumerate(grid.idx_cut):
             assert grid.chi[n, :cut].any()
-            assert np.array_equal(grid.chi[n, :cut], full[n, :cut])
+            err = np.max(np.abs(grid.chi[n, :cut] - full[n, :cut]))
+            assert err <= 1e-12 * np.max(np.abs(full[n, :cut]))
             assert not grid.chi[n, cut:].any()
+
+    @pytest.mark.parametrize("z_samples", [2.0, 4.0, 12.0])
+    def test_mode_grid_matches_scipy_rows(self, trap, recoil, z_samples):
+        # the 300-mode grid's shifted rows against one scipy call per row,
+        # up to each support cut
+        basis = build_basis(300)
+        tau = grid_axes(basis, trap, recoil, GEO).tau_values
+        grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]),
+                                GridSpec(z_samples=z_samples))
+        for n, cut in enumerate(grid.idx_cut):
+            want = (sps.airy(grid.xi[:cut] - basis.table.values[n])[0]
+                    / basis.table.ai_prime[n])
+            err = np.max(np.abs(grid.chi[n, :cut] - want))
+            assert err <= 1e-12 * np.max(np.abs(want))
 
     def test_z_refinement_stable(self, trap, recoil, desk_map):
         fine = MapMaker(N_DESK, trap, recoil, GEO,
@@ -302,6 +320,24 @@ class TestDetectorCut:
             brute = annihilation_current(basis, trap, kick, GEO, 0.0,
                                          y[iy], T[iT])
             assert dm.density[iy, iT] == pytest.approx(brute, rel=1e-4)
+
+    def test_starts_no_thread(self, monkeypatch, basis, trap, recoil):
+        # set-up and the detector cut run in the calling thread; a pool
+        # joined on exit would leave threading.enumerate() as it was, so
+        # thread starts are counted as well
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        before = threading.enumerate()
+        MapMaker(N_DESK, trap, recoil, GEO)
+        current_map_yt(basis, trap, recoil, GEO, [0.3], [0.29, 0.3])
+        assert threading.enumerate() == before
+        assert started == []
 
     def test_domain_checks(self, basis, trap, recoil):
         with pytest.raises(DomainError):
