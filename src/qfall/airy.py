@@ -14,16 +14,20 @@ representation is the half-line Fourier transform
 evaluated here by direct oscillation-resolved quadrature.
 
 Mode rows on an arbitrary grid (`eigenfunction_matrix`) take one scipy
-Airy call per row.  The free-fall mode grid is uniform, xi_j = j h, so
-`_airy_rows` builds its rows by a Taylor shift instead: with
-lam_n = m_n h + delta_n and |delta_n| <= h/2, row n is Ai on the shared base
-grid y_i = i h, moved by -m_n samples and expanded in -delta_n.  Ai and Ai'
-are evaluated once on that base grid and the higher derivatives follow from
-the Airy equation, A_{p+2} = y A_p + p A_{p-1}.  The term count follows
-from h sqrt(lam_max), so that the dropped terms stay below 1e-15 of a row's
-maximum on every grid; the rows then differ from scipy's by about 1e-13 of
-their maximum, the cost of rounding the argument xi - lam_n.  Each row stops
-at its own sample count (the mode's support cut).
+Airy call per row.  The free-fall mode grid is uniform, xi_j = j h, and so
+are the overlap's Gauss-Legendre nodes of one Gauss point across equal
+panels, xi_j = x0 + j h.  On such grids `_airy_rows` builds the rows by a
+Taylor shift instead: with lam_n - x0 = m_n h + delta_n and
+|delta_n| <= h/2, row n is Ai on the base grid y_i = i h, moved by -m_n
+samples and expanded in -delta_n.  Ai and Ai' are evaluated once on that
+base grid, shared by every row and origin, and the higher derivatives
+follow from the Airy equation, A_{p+2} = y A_p + p A_{p-1}.  The term count
+follows from h sqrt(lam_max), so that the dropped terms stay below 1e-15 of
+a row's maximum on every grid; the rows then differ from scipy's by about
+1e-13 of their maximum, the cost of rounding the argument xi - lam_n (up
+to 2.4e-12 on the 1000-mode overlap nodes, which see only the small
+oscillations of the top rows near xi = 0).  Each row stops at its own
+sample count (the mode's support cut).
 """
 
 from __future__ import annotations
@@ -126,13 +130,16 @@ def _taylor_terms(reach: float) -> int:
     return terms
 
 
-def _airy_rows(table: AiryZeroTable, step: float, stops: np.ndarray,
-               count: int) -> np.ndarray:
-    """Rows Ai(xi_j - lam_n) / Ai'(-lam_n) on xi_j = j * step for
-    j < stops[n-1], 0.0 beyond, j < count: the Taylor shift of the module
-    docstring."""
-    m = np.rint(table.values / step).astype(np.int64)
-    delta = table.values - m * step
+def _airy_rows(table: AiryZeroTable, starts, step: float,
+               stops: np.ndarray, count: int) -> np.ndarray:
+    """Rows Ai(xi_j - lam_n) / Ai'(-lam_n) on the grids xi_j = s + j * step,
+    one for each origin s >= 0 in `starts`, for j < stops[n-1] and 0.0
+    beyond, j < count; shape (len(starts), n_max, count).  This is the
+    Taylor shift of the module docstring, with one base grid for all."""
+    starts = np.asarray(starts, dtype=float)
+    m = np.rint((table.values[None, :] - starts[:, None])
+                / step).astype(np.int64)
+    delta = table.values[None, :] - starts[:, None] - m * step
     lo = int(m.max())
     y = (np.arange(lo + int(np.max(stops - m))) - lo) * step
     terms = _taylor_terms(0.5 * step * math.sqrt(table.values[-1]))
@@ -145,10 +152,9 @@ def _airy_rows(table: AiryZeroTable, step: float, stops: np.ndarray,
     powers = np.arange(terms + 1)
     coeff = (np.power.outer(-delta, powers)
              / (sps.factorial(powers)[None, :] * table.ai_prime[:, None]))
-    out = np.zeros((table.n_max, count))
-    for k in range(table.n_max):
-        off = lo - m[k]
-        out[k, :stops[k]] = coeff[k] @ deriv[:, off:off + stops[k]]
+    out = np.zeros((starts.shape[0], table.n_max, count))
+    for (s, k), off in np.ndenumerate(lo - m):
+        out[s, k, :stops[k]] = coeff[s, k] @ deriv[:, off:off + stops[k]]
     return out
 
 

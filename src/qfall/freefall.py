@@ -261,7 +261,7 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     idx_cut = np.minimum(
         np.searchsorted(xi, basis.table.support, side="right"),
         count).astype(np.int64)
-    chi = _airy_rows(basis.table, xi[1] - xi[0], idx_cut, count)
+    chi = _airy_rows(basis.table, [0.0], xi[1] - xi[0], idx_cut, count)[0]
     return ModeGrid(xi=xi, wxi=wxi, chi=chi, idx_cut=idx_cut)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import AiryZeroTable, Z_MAX_PAD, airy_zeros, eigenfunction_matrix
+from .airy import AiryZeroTable, Z_MAX_PAD, _airy_rows, airy_zeros
 from .errors import DomainError
 from .physcore import G_DEFAULT, GravScales, derive_scales
 from .source import (DEFAULT_POLAR_NODES, PhotodetachConfig, TrapConfig,
@@ -91,6 +91,18 @@ def _panel_rule(lo: float, hi: float, wavenumber: float, phase: float):
     return nodes, weights
 
 
+def _panel_modes(table: AiryZeroTable, lo: float, span: float,
+                 panels: int) -> np.ndarray:
+    """Mode rows Ai(xi - lam_n) / Ai'(-lam_n) on the `_panel_rule` nodes of
+    [lo, lo + span] (in xi).  Across the equal panels the nodes of one Gauss
+    point form a uniform grid, one `_airy_rows` origin each."""
+    x, _ = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    width = span / panels
+    rows = _airy_rows(table, lo + 0.5 * width * (1.0 + x), width,
+                      np.full(table.n_max, panels), panels)
+    return rows.transpose(1, 2, 0).reshape(table.n_max, -1)
+
+
 def overlap_matrix(basis: GQSBasis, height: float, width: float,
                    qz_values, phase: float = PANEL_PHASE) -> np.ndarray:
     """Coefficients c_n(q_z) for a batch of vertical kicks, shape (K, n_max).
@@ -111,7 +123,8 @@ def overlap_matrix(basis: GQSBasis, height: float, width: float,
     k_mode = math.sqrt(basis.lam_max) / scales.length
     k_kick = float(np.max(np.abs(qz))) / hbar
     z, w = _panel_rule(lo, hi, k_mode + k_kick, phase)
-    chi = eigenfunction_matrix(basis.table, z / scales.length)
+    chi = _panel_modes(basis.table, lo / scales.length,
+                       (hi - lo) / scales.length, z.size // PANEL_ORDER)
     amp = (2.0 * math.pi * width ** 2) ** (-0.25)
     gauss = amp * np.exp(-(z - height) ** 2 / (4.0 * width ** 2))
     ph = np.outer(qz, z - height) / hbar

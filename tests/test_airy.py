@@ -214,15 +214,18 @@ def _row_error(got, want):
     return np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
 
 
-@pytest.mark.parametrize("n_max, reach", [(1, 1.32), (1, 0.22), (40, 1.32)])
-def test_shifted_rows_full_width(n_max, reach):
+@pytest.mark.parametrize("n_max, reach, start", [
+    (1, 1.32, 0.0), (1, 0.22, 0.0), (40, 1.32, 0.0), (40, 1.32, 3.7)])
+def test_shifted_rows_full_width(n_max, reach, start):
     # stops equal to the grid length: whole rows, against scipy per row;
-    # reach = h sqrt(lam_max) of 1.32 is that of z_samples = 2
+    # reach = h sqrt(lam_max) of 1.32 is that of z_samples = 2, and a grid
+    # starting above lam_1 shifts that row by a negative count
     table = airy_zeros(n_max)
     step = reach / math.sqrt(table.values[-1])
     count = int((table.values[-1] + 20.0) / step) + 1
-    got = airy._airy_rows(table, step, np.full(n_max, count), count)
-    want = eigenfunction_matrix(table, step * np.arange(count))
+    got = airy._airy_rows(table, [start], step, np.full(n_max, count),
+                          count)[0]
+    want = eigenfunction_matrix(table, start + step * np.arange(count))
     assert np.max(_row_error(got, want)) <= 1e-12
 
 
@@ -233,7 +236,7 @@ def test_shifted_rows_half_step_and_stops():
     step = table.values[-1] / 64.5
     count = 200
     stops = np.arange(0, 200, 10)
-    got = airy._airy_rows(table, step, stops, count)
+    got = airy._airy_rows(table, [0.0], step, stops, count)[0]
     full = eigenfunction_matrix(table, step * np.arange(count))
     for k, stop in enumerate(stops):
         assert not got[k, stop:].any()
@@ -251,9 +254,9 @@ def test_shifted_rows_truncation(monkeypatch):
         step = reach / math.sqrt(table.values[-1])
         count = int((table.values[-1] + 15.0) / step) + 1
         stops = np.full(300, count)
-        got = airy._airy_rows(table, step, stops, count)
+        got = airy._airy_rows(table, [0.0], step, stops, count)[0]
         monkeypatch.setattr(airy, "_taylor_terms", lambda r: terms(r) + 8)
-        more = airy._airy_rows(table, step, stops, count)
+        more = airy._airy_rows(table, [0.0], step, stops, count)[0]
         monkeypatch.setattr(airy, "_taylor_terms", terms)
         assert np.max(_row_error(got, more)) < 1e-15
 
@@ -266,7 +269,7 @@ def test_shifted_rows_against_high_precision():
     table = airy_zeros(300)
     step = 1.32 / math.sqrt(table.values[-1])
     count = int((table.values[-1] + 15.0) / step) + 1
-    rows = airy._airy_rows(table, step, np.full(300, count), count)
+    rows = airy._airy_rows(table, [0.0], step, np.full(300, count), count)[0]
     for n in (250, 299, 300):
         lam = mpmath.mpf(float(table.values[n - 1]))
         norm = mpmath.airyai(-lam, 1)

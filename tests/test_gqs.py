@@ -20,9 +20,12 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from qfall.airy import eigenfunction_matrix
 from qfall.errors import DomainError
-from qfall.gqs import (build_basis, classical_cutoff_velocity,
-                       overlap_matrix, transmitted_fraction)
+from qfall.gqs import (GAUSSIAN_SUPPORT_SIGMAS, PANEL_ORDER, PANEL_PHASE,
+                       _panel_modes, _panel_rule, build_basis,
+                       classical_cutoff_velocity, overlap_matrix,
+                       transmitted_fraction)
 from qfall.physcore import CONSTANTS
 from qfall.source import build_photodetach, build_trap
 
@@ -109,6 +112,23 @@ class TestOverlapCoefficients:
             single = overlap_matrix(basis, HEIGHT, trap.width, [q])[0]
             # single calls size their panel grid from their own |q_z|
             assert mat[k] == pytest.approx(single, abs=1e-9 * np.abs(single).max())
+
+    @pytest.mark.parametrize("n_max", [50, 300])
+    def test_panel_modes_match_scipy_rows(self, trap, recoil, n_max):
+        # the Taylor-shifted mode rows on the panel nodes against one scipy
+        # call per row, to 1e-12 of each row's maximum
+        b = build_basis(n_max)
+        ell = b.scales.length
+        lo = HEIGHT - GAUSSIAN_SUPPORT_SIGMAS * trap.width
+        hi = HEIGHT + GAUSSIAN_SUPPORT_SIGMAS * trap.width
+        wavenumber = (math.sqrt(b.lam_max) / ell
+                      + recoil.recoil_momentum / CONSTANTS.hbar)
+        z, _ = _panel_rule(lo, hi, wavenumber, PANEL_PHASE)
+        got = _panel_modes(b.table, lo / ell, (hi - lo) / ell,
+                           z.size // PANEL_ORDER)
+        want = eigenfunction_matrix(b.table, z / ell)
+        err = np.max(np.abs(got - want), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=1))
 
     def test_invalid_inputs(self, basis, trap):
         with pytest.raises(DomainError):
