@@ -7,13 +7,28 @@ The free-fall map needs, for every lattice time tau_k, the chirped mode sums
               * ((zprime_k - z_j) * invtau_k - gtau_k)
 
 where chi_w carries the mode profiles with quadrature weights folded in.
-`mode_chirp_sums` chunks the lattice axis and maps the work onto real
-matrix products over the whole z grid; each mode's cut at `idx_cut` is
-carried by the zero tail of its chi_w row.  Each chunk's element-wise
-preparation (phases, cos, sin and the velocity factor) runs serially into
-four reused chunk buffers; the four products then run in BLAS as one call
-each.  Splitting the preparation over threads gained nothing: OpenBLAS's
-threads keep spinning after each product and hold the cores.
+`mode_chirp_sums` chunks the lattice axis and maps the work onto one real
+matrix product per chunk over the whole z grid; each mode's cut at
+`idx_cut` is carried by the zero tail of its chi_w row.
+
+The z grid is uniform, z_j = z_0 + j h.  With j = B m + b and the anchor
+u = zprime_k - z_{Bm} of each block of B heights,
+
+    exp(i alpha (u - b h)^2) = exp(i alpha u^2) w^b c_b,
+    w = exp(-2i alpha h u),  c_b = exp(i alpha b^2 h^2),
+
+so `cos` and `sin` run once per block and the other heights follow by
+complex multiplication.  The anchor phase alpha u^2 reaches 1e5 rad, so it
+is formed and reduced mod 2 pi in extended precision: a float64 phase
+error there (~1e-11 rad) would be shared by the whole block.  G needs no
+second chirp array:
+
+    G = ((zprime - z_0) invtau - gtau) F - invtau H,
+    H = sum_j chi_w[n, j] (z_j - z_0) exp(i alpha (zprime - z_j)^2),
+
+and F and H come out of one product of the mode matrix, its rows permuted
+once per call into the block layout, with the chunk's [e, (z - z_0) e]
+viewed as reals.
 """
 
 from __future__ import annotations
@@ -23,6 +38,12 @@ import numpy as np
 from .errors import DomainError
 
 _CHUNK_ROWS = 64
+#: heights per chirp anchor; the other B - 1 follow by complex recurrence
+_BLOCK = 32
+#: 2 pi in extended precision, for the anchor phase reduction
+_TWO_PI = 2 * np.arccos(np.longdouble(-1))
+#: largest departure of z from its uniform line, in grid steps
+_UNIFORM_TOL = 1e-9
 
 
 def get_engine() -> str:
@@ -52,37 +73,68 @@ def _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
     for arr in (alpha, zprime, invtau, gtau):
         if arr.shape != alpha.shape or arr.ndim != 1:
             raise DomainError("lattice parameter arrays must share one shape")
+    if z.shape[0] < 2:
+        raise DomainError("z needs at least 2 points")
+    # the chirp recurrence steps every height by one h from its anchor
+    h = (z[-1] - z[0]) / (z.shape[0] - 1)
+    drift = np.abs(z - (z[0] + h * np.arange(z.shape[0])))
+    if not np.all(drift <= _UNIFORM_TOL * abs(h)):
+        raise DomainError("z must be a uniform grid")
+
+
+def _b_major(x, count):
+    """x (..., J) as (B, count, ...) holding height j = B m + b at [b, m],
+    with zeros from J up to count B."""
+    padded = np.zeros(x.shape[:-1] + (count * _BLOCK,))
+    padded[..., :x.shape[-1]] = x
+    return np.ascontiguousarray(padded.reshape(x.shape[:-1]
+                                               + (count, _BLOCK)).T)
 
 
 def mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
     """F, G of shape (K, n_modes) for the K lattice times of alpha.
 
-    The lattice axis runs in chunks of `_CHUNK_ROWS` rows, each a set of
-    dense products over the full z grid; chi_w must already be zero past
-    each mode's `idx_cut`.
+    The lattice axis runs in chunks of `_CHUNK_ROWS` rows, each one dense
+    product over the full z grid; chi_w must already be zero past each
+    mode's `idx_cut`, and z must be uniform.
     """
     _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau)
     K, N = alpha.shape[0], chi_w.shape[0]
+    J, B = z.shape[0], _BLOCK
+    M = -(-J // B)
+    h = (z[-1] - z[0]) / (J - 1)
+    chi_p = _b_major(chi_w, M).reshape(B * M, N)
+    # z from z[0], so that H carries no offset
+    z_p = _b_major(z - z[0], M)[..., None]
+    anchors = z[::B].astype(np.longdouble)[:, None]
+    offsets_sq = (h * np.arange(B))[:, None] ** 2
     F = np.empty((K, N), dtype=np.complex128)
     G = np.empty((K, N), dtype=np.complex128)
-    chi_t = np.ascontiguousarray(chi_w.T)
-    # c, s, c*v and s*v of one chunk
-    c, s, cv, sv = (np.empty((min(K, _CHUNK_ROWS), z.shape[0]))
-                    for _ in range(4))
+    # e = exp(i alpha (zprime - z)^2) and (z - z_0) e of each chunk row per
+    # height, viewed as reals: one (B M, 4 rows) operand of a single product
+    buf = np.empty(2 * min(K, _CHUNK_ROWS) * B * M, dtype=np.complex128)
     for k0 in range(0, K, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, K - k0)
         sl = slice(k0, k0 + rows)
-        # d (then v) lives in the c*v rows and the phase in the s rows until
-        # sin overwrites it, so the loop allocates no (rows, J) temporaries
-        d = np.subtract(zprime[sl][:, None], z[None, :], out=cv[:rows])
-        ph = np.multiply(alpha[sl][:, None], d, out=s[:rows])
-        np.multiply(ph, d, out=ph)
-        np.cos(ph, out=c[:rows])
-        np.sin(ph, out=ph)
-        v = np.multiply(d, invtau[sl][:, None], out=d)
-        np.subtract(v, gtau[sl][:, None], out=v)
-        np.multiply(s[:rows], v, out=sv[:rows])
-        np.multiply(c[:rows], v, out=v)
-        F[sl] = (c[:rows] @ chi_t) + 1j * (s[:rows] @ chi_t)
-        G[sl] = (cv[:rows] @ chi_t) + 1j * (sv[:rows] @ chi_t)
+        a = alpha[sl]
+        # anchor phases exact to float64 rounding after the mod-2 pi cut:
+        # one error there is shared by the B heights of its block
+        u = zprime[sl].astype(np.longdouble) - anchors
+        phase = np.mod(a.astype(np.longdouble) * u * u, _TWO_PI)
+        term = np.exp(1j * phase.astype(np.float64))
+        w = np.exp(-2j * h * a * u.astype(np.float64))
+        c = np.exp(1j * a * offsets_sq)
+        chunk = buf[:2 * rows * B * M].reshape(B, M, 2, rows)
+        for b in range(B):
+            e = np.multiply(term, c[b], out=chunk[b, :, 0])
+            np.multiply(e, z_p[b], out=chunk[b, :, 1])
+            if b + 1 < B:
+                term *= w
+        prod = chi_p.T @ chunk.view(np.float64).reshape(B * M, 4 * rows)
+        # columns of prod: F then H, each as interleaved real, imaginary
+        FH = prod.view(np.complex128).reshape(N, 2, rows)
+        F[sl] = FH[:, 0].T
+        # G = sum chi e ((zprime - z) / tau - g tau) = v0 F - H / tau
+        v0 = (zprime[sl] - z[0]) * invtau[sl] - gtau[sl]
+        G[sl] = (FH[:, 0] * v0 - FH[:, 1] * invtau[sl]).T
     return F, G

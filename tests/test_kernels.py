@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qfall import kernels
 from qfall.errors import DomainError
 from qfall.kernels import mode_chirp_sums, simpson_weights
 
@@ -44,56 +43,77 @@ class TestSimpsonWeights:
             simpson_weights(21, -0.1)
 
 
+def explicit_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau,
+                  dtype=np.float64):
+    """F, G term by term, each mode summed only below its cut, in `dtype`."""
+    z = z.astype(dtype)
+    alpha, zprime, invtau, gtau = (x.astype(dtype)[:, None] for x in (
+        alpha, zprime, invtau, gtau))
+    F = np.empty((alpha.shape[0], chi_w.shape[0]), dtype=complex)
+    G = np.empty_like(F)
+    for n, cut in enumerate(idx_cut):
+        d = zprime - z[None, :cut]
+        ph = alpha * d * d
+        chi = chi_w[n, :cut].astype(dtype)
+        v = d * invtau - gtau
+        c, s = chi * np.cos(ph), chi * np.sin(ph)
+        F[:, n] = c.sum(axis=1) + 1j * s.sum(axis=1)
+        G[:, n] = (c * v).sum(axis=1) + 1j * (s * v).sum(axis=1)
+    return F, G
+
+
+def assert_within(F, G, want_f, want_g, budget, f_rel, g_rel):
+    # real and imaginary parts, per mode, against budget (per mode or one)
+    for got, want, rel in ((F, want_f, f_rel), (G, want_g, g_rel)):
+        for part in (np.real, np.imag):
+            err = np.abs(part(got) - part(want)).max(axis=0)
+            assert np.all(err < rel * budget), (err / budget).max()
+
+
 class TestEngines:
     """The one chirp engine, `mode_chirp_sums`."""
 
     def test_cut_matches_explicit_zeroing(self):
-        chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(
-            n_modes=6, n_z=2049)
-        F, G = mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau,
-                               gtau)
+        problem = make_problem(n_modes=6, n_z=2049)
+        F, G = mode_chirp_sums(*problem)
         # each mode summed only below its cut: the dense products run over
         # the zero tails of chi_w and must give the same sums
-        want_f = np.empty_like(F)
-        want_g = np.empty_like(G)
-        for n, cut in enumerate(idx_cut):
-            d = zprime[:, None] - z[None, :cut]
-            e = chi_w[n, :cut] * np.exp(1j * alpha[:, None] * d * d)
-            want_f[:, n] = e.sum(axis=1)
-            want_g[:, n] = (e * (d * invtau[:, None]
-                                 - gtau[:, None])).sum(axis=1)
-        budget = np.sum(np.abs(chi_w))
-        assert np.abs(F.real - want_f.real).max() < 1e-13 * budget
-        assert np.abs(F.imag - want_f.imag).max() < 1e-13 * budget
-        assert np.abs(G.real - want_g.real).max() < 1e-12 * budget
-        assert np.abs(G.imag - want_g.imag).max() < 1e-12 * budget
+        want_f, want_g = explicit_sums(*problem)
+        assert_within(F, G, want_f, want_g, np.sum(np.abs(problem[0])),
+                      1e-13, 1e-12)
 
     @pytest.mark.parametrize("calls", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 63, 64, 65, 129])
     def test_equals_serial_chunk_loop(self, k, calls):
-        # the kernel prepares each chunk in place in reused buffers; F and G
-        # must be bit for bit those of a loop with fresh temporaries over the
-        # same chunks, also at and around the chunk edges, and repeated calls
-        # must neither carry state over nor hand out shared arrays
-        chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(
-            n_modes=5, n_z=513, k=k)
-        results = [mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau,
-                                   gtau) for _ in range(calls)]
-        want_f = np.empty_like(results[0][0])
-        want_g = np.empty_like(results[0][1])
-        chi_t = np.ascontiguousarray(chi_w.T)
-        for k0 in range(0, k, kernels._CHUNK_ROWS):
-            sl = slice(k0, min(k0 + kernels._CHUNK_ROWS, k))
-            d = zprime[sl][:, None] - z[None, :]
-            ph = alpha[sl][:, None] * d * d
-            c = np.cos(ph)
-            s = np.sin(ph)
-            v = d * invtau[sl][:, None] - gtau[sl][:, None]
-            want_f[sl] = (c @ chi_t) + 1j * (s @ chi_t)
-            want_g[sl] = ((c * v) @ chi_t) + 1j * ((s * v) @ chi_t)
-        for F, G in results:
-            assert np.array_equal(F, want_f)
-            assert np.array_equal(G, want_g)
+        # the kernel prepares each chunk in reused buffers; at and around
+        # the chunk edges F and G must be the explicit sums (taken in
+        # extended precision, which a float64 sum of these phases is not),
+        # and repeated calls must neither carry state over nor hand out
+        # shared arrays
+        problem = make_problem(n_modes=5, n_z=513, k=k)
+        results = [mode_chirp_sums(*problem) for _ in range(calls)]
+        want_f, want_g = explicit_sums(*problem, dtype=np.longdouble)
+        F0, G0 = results[0]
+        assert_within(F0, G0, want_f, want_g, np.sum(np.abs(problem[0])),
+                      1e-13, 1e-12)
+        for i, (F, G) in enumerate(results):
+            assert np.array_equal(F, F0)
+            assert np.array_equal(G, G0)
+            assert not np.shares_memory(F, G)
+            for F1, G1 in results[:i]:
+                for x in (F, G):
+                    assert not np.shares_memory(x, F1)
+                    assert not np.shares_memory(x, G1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_against_extended_precision(self, seed):
+        # phases up to 1e5 rad: a float64 phase is off by ~1e-11 rad, so
+        # the kernel must reduce its anchor phases in extended precision
+        problem = make_problem(n_modes=6, n_z=2049, seed=seed, k=40)
+        F, G = mode_chirp_sums(*problem)
+        want_f, want_g = explicit_sums(*problem, dtype=np.longdouble)
+        assert_within(F, G, want_f, want_g,
+                      np.sum(np.abs(problem[0]), axis=1), 1e-13, 1e-13)
 
     def test_shape_validation(self):
         chi_w, z, idx_cut, alpha, zprime, invtau, gtau = make_problem(4, 513)
@@ -104,6 +124,14 @@ class TestEngines:
         bad_cut[0] = z.shape[0] + 5
         with pytest.raises(DomainError):
             mode_chirp_sums(chi_w, z, bad_cut, alpha, zprime, invtau, gtau)
+        # the chirp recurrence needs a uniform grid of two points or more
+        with pytest.raises(DomainError):
+            mode_chirp_sums(chi_w[:, :1], z[:1], np.ones(4, dtype=np.int64),
+                            alpha, zprime, invtau, gtau)
+        bent = z.copy()
+        bent[200] += 1e-6 * (z[1] - z[0])
+        with pytest.raises(DomainError):
+            mode_chirp_sums(chi_w, bent, idx_cut, alpha, zprime, invtau, gtau)
 
 
 class TestQuadratureOracle:
