@@ -26,9 +26,10 @@ second chirp array:
     G = ((zprime - z_0) invtau - gtau) F - invtau H,
     H = sum_j chi_w[n, j] (z_j - z_0) exp(i alpha (zprime - z_j)^2),
 
-and F and H come out of one product of the mode matrix, its rows permuted
-once per call into the block layout, with the chunk's [e, (z - z_0) e]
-viewed as reals.
+and F and H come out of one product per chunk: the rows [Re e; Im e;
+Re (z - z_0) e; Im (z - z_0) e], e = exp(i alpha (zprime - z)^2), of the
+chunk's lattice times, against the mode matrix with its heights permuted
+once per call into the block order.
 """
 
 from __future__ import annotations
@@ -105,36 +106,43 @@ def mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
     h = (z[-1] - z[0]) / (J - 1)
     chi_p = _b_major(chi_w, M).reshape(B * M, N)
     # z from z[0], so that H carries no offset
-    z_p = _b_major(z - z[0], M)[..., None]
-    anchors = z[::B].astype(np.longdouble)[:, None]
-    offsets_sq = (h * np.arange(B))[:, None] ** 2
+    z_p = _b_major(z - z[0], M)
+    anchors = z[::B].astype(np.longdouble)
+    offsets_sq = (h * np.arange(B)) ** 2
     F = np.empty((K, N), dtype=np.complex128)
     G = np.empty((K, N), dtype=np.complex128)
-    # e = exp(i alpha (zprime - z)^2) and (z - z_0) e of each chunk row per
-    # height, viewed as reals: one (B M, 4 rows) operand of a single product
-    buf = np.empty(2 * min(K, _CHUNK_ROWS) * B * M, dtype=np.complex128)
+    # rows [Re e; Im e; Re (z - z_0) e; Im (z - z_0) e] of one chunk,
+    # e = exp(i alpha (zprime - z)^2), columns in the order of chi_p
+    buf = np.empty(4 * min(K, _CHUNK_ROWS) * B * M)
     for k0 in range(0, K, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, K - k0)
         sl = slice(k0, k0 + rows)
-        a = alpha[sl]
+        a = alpha[sl][:, None]
         # anchor phases exact to float64 rounding after the mod-2 pi cut:
         # one error there is shared by the B heights of its block
-        u = zprime[sl].astype(np.longdouble) - anchors
+        u = zprime[sl].astype(np.longdouble)[:, None] - anchors
         phase = np.mod(a.astype(np.longdouble) * u * u, _TWO_PI)
         term = np.exp(1j * phase.astype(np.float64))
         w = np.exp(-2j * h * a * u.astype(np.float64))
         c = np.exp(1j * a * offsets_sq)
-        chunk = buf[:2 * rows * B * M].reshape(B, M, 2, rows)
+        chunk = buf[:4 * rows * B * M].reshape(2, 2, rows, B, M)
+        # e and (z - z_0) e at height b of every block, as real and
+        # imaginary parts
+        ez = np.empty((2, rows, M), dtype=np.complex128)
+        parts = ez.view(np.float64).reshape(2, rows, M, 2).transpose(
+            0, 3, 1, 2)
         for b in range(B):
-            e = np.multiply(term, c[b], out=chunk[b, :, 0])
-            np.multiply(e, z_p[b], out=chunk[b, :, 1])
+            np.multiply(term, c[:, b, None], out=ez[0])
+            np.multiply(ez[0], z_p[b], out=ez[1])
+            chunk[:, :, :, b] = parts
             if b + 1 < B:
                 term *= w
-        prod = chi_p.T @ chunk.view(np.float64).reshape(B * M, 4 * rows)
-        # columns of prod: F then H, each as interleaved real, imaginary
-        FH = prod.view(np.complex128).reshape(N, 2, rows)
-        F[sl] = FH[:, 0].T
+        prod = chunk.reshape(4 * rows, B * M) @ chi_p
+        F[sl].real = prod[:rows]
+        F[sl].imag = prod[rows:2 * rows]
         # G = sum chi e ((zprime - z) / tau - g tau) = v0 F - H / tau
-        v0 = (zprime[sl] - z[0]) * invtau[sl] - gtau[sl]
-        G[sl] = (FH[:, 0] * v0 - FH[:, 1] * invtau[sl]).T
+        v0 = ((zprime[sl] - z[0]) * invtau[sl] - gtau[sl])[:, None]
+        it = invtau[sl][:, None]
+        G[sl].real = v0 * prod[:rows] - it * prod[2 * rows:3 * rows]
+        G[sl].imag = v0 * prod[rows:2 * rows] - it * prod[3 * rows:]
     return F, G
