@@ -9,6 +9,7 @@ versions and wall time - also when the run fails.
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -86,9 +87,14 @@ def _read_events_csv(path: str) -> EventSet:
                 raise ConfigError("%s: %d values for %d columns"
                                   % (where, len(tokens), len(header)))
             try:
-                rows.append([float(x) for x in tokens])
+                row = [float(x) for x in tokens]
             except ValueError as exc:
                 raise ConfigError("%s: %s" % (where, exc)) from None
+            for name, value in zip(header, row):
+                if not math.isfinite(value):
+                    raise ConfigError("%s: %s = %r is not finite"
+                                      % (where, name, value))
+            rows.append(row)
     if header is None or "n_source" not in meta:
         raise ConfigError("%s is not an event file (missing header or "
                           "n_source)" % path)
@@ -219,7 +225,7 @@ def _cmd_current_map(cfg, args, out_dir):
     dm = current_map_yt(basis, trap, pd, geom, y, T, spec)
     yy, TT = np.meshgrid(y, T, indexing="ij")
     _write_csv(os.path.join(out_dir, "current_map.csv"),
-               {"g_mps2": "%.17g" % cfg.g, "jacobian": spec.jacobian},
+               {"g_mps2": "%.17g" % cfg.g},
                ["y_m", "T_s", "density_per_m2s"],
                [yy.ravel(), TT.ravel(), dm.density.ravel()])
     iy, iT = np.unravel_index(int(np.argmax(dm.density)), dm.density.shape)
@@ -234,7 +240,7 @@ def _cmd_current_map(cfg, args, out_dir):
         fm = MapMaker(cfg.n_max, trap, pd, geom, spec, g0=cfg.g).build(cfg.g)
         tt, TT2 = np.meshgrid(fm.t, fm.T, indexing="ij")
         _write_csv(os.path.join(out_dir, "folded_map.csv"),
-                   {"g_mps2": "%.17g" % cfg.g, "jacobian": fm.jacobian,
+                   {"g_mps2": "%.17g" % cfg.g,
                     "fraction": "%.17g" % fm.metadata["fraction"]},
                    ["t_s", "T_s", "weight_per_s2"],
                    [tt.ravel(), TT2.ravel(), fm.density.ravel()])

@@ -56,7 +56,6 @@ class RunConfig:
     t_nodes: int = GridSpec.t_nodes
     z_samples: float = GridSpec.z_samples
     n_polar: int = GridSpec.n_polar
-    jacobian: str = GridSpec.jacobian
     likelihood: str = "conditional"
     n_source: int = 20000
     n_replicates: int = 40
@@ -80,7 +79,6 @@ KEYS = {
     "grid.t_nodes": ("t_nodes", None, int),
     "grid.z_samples": ("z_samples", None, float),
     "grid.n_polar": ("n_polar", None, int),
-    "freefall.jacobian": ("jacobian", None, str),
     "inference.likelihood": ("likelihood", None, str),
     "inference.n_source": ("n_source", None, int),
     "inference.n_replicates": ("n_replicates", None, int),
@@ -91,8 +89,7 @@ KEYS = {
 
 _FIELD_TO_KEY = {spec[0]: key for key, spec in KEYS.items()}
 
-_ENUMS = {"freefall.jacobian": ("tau", "T"),
-          "inference.likelihood": ("conditional", "unconditional")}
+_ENUMS = {"inference.likelihood": ("conditional", "unconditional")}
 
 
 def _fail(line_no: int, key: str, reason: str):
@@ -234,8 +231,7 @@ def resolve_config(path: Optional[str]) -> RunConfig:
 
 def _grid_spec(cfg: RunConfig) -> GridSpec:
     return GridSpec(fringe_samples=cfg.fringe_samples, t_nodes=cfg.t_nodes,
-                    z_samples=cfg.z_samples, n_polar=cfg.n_polar,
-                    jacobian=cfg.jacobian)
+                    z_samples=cfg.z_samples, n_polar=cfg.n_polar)
 
 
 def build_components(cfg: RunConfig):

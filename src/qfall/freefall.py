@@ -136,17 +136,14 @@ VERTICAL_PAD_SCALES = 4.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice resolution and Jacobian choice for the estimation map."""
+    """Lattice resolution of the estimation map and its recoil nodes."""
 
     fringe_samples: float = 5.0       # T samples per fastest mode beat
     t_nodes: int = 56                 # target size of the coarse t axis
     z_samples: float = 12.0           # samples per shortest z wavelength
     n_polar: int = DEFAULT_POLAR_NODES  # Gauss-Legendre nodes in the tilt
-    jacobian: str = "tau"             # 'tau' (as printed) or 'T' (flux exact)
 
     def __post_init__(self):
-        if self.jacobian not in ("tau", "T"):
-            raise ConfigError("jacobian must be 'tau' or 'T'")
         for name in ("fringe_samples", "t_nodes", "z_samples", "n_polar"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError("%s must be finite" % name)
@@ -157,6 +154,8 @@ class GridSpec:
                               "wavelength")
         if self.t_nodes < 8:
             raise ConfigError("need at least 8 release-time nodes")
+        if self.n_polar < 2:
+            raise ConfigError("n_polar: need at least 2 polar nodes")
 
 
 def fall_windows(basis: GQSBasis, trap: TrapConfig,
@@ -301,6 +300,9 @@ class FoldedMap:
 
     `density` is the probability density per (dt dT) of a transmitted atom:
     the radial landing density at rbar = d T / t times the Jacobian d T / t^2.
+    The landing momentum enters with the weight m^2 / tau^2 of the printed
+    formula; the flux-exact weight m^2 / T^2 gives this density times
+    (tau / T)^2, cell by cell.
     `azimuth_model` tells how the detector azimuth is distributed at fixed
     (t, T): 'dipole' uses density ~ 1 + ratio cos 2(phi - pol_angle), the
     deterministic kick uses a von Mises law with per-t `concentration`.
@@ -314,7 +316,6 @@ class FoldedMap:
     pol_angle: float
     azimuth_ratio: np.ndarray | None
     concentration: np.ndarray | None
-    jacobian: str
     metadata: dict = field(compare=False)
 
     @property
@@ -353,7 +354,6 @@ class MapMaker:
         self.trap = trap
         self.photodetach = photodetach
         self.geometry = geometry
-        self.spec = spec
         self.g0 = g0
         self.basis0 = build_basis(n_max, g0)
         self.axes = grid_axes(self.basis0, trap, photodetach, geometry, spec)
@@ -363,7 +363,6 @@ class MapMaker:
 
     def build(self, g: float) -> FoldedMap:
         axes = self.axes
-        spec = self.spec
         geom = self.geometry
         pd = self.photodetach
         nodes = self.nodes
@@ -405,8 +404,7 @@ class MapMaker:
             else:
                 concentration[i] = kappa[0]
             Tj = axes.T[block]
-            w_time = tau if spec.jacobian == "tau" else Tj
-            P = (d * d * Tj * Tj / ti ** 3) * (m * m / w_time ** 2) \
+            P = (d * d * Tj * Tj / ti ** 3) * (m * m / tau ** 2) \
                 / (dp * dp) * A
             neg_mass += -P[P < 0.0].sum()
             pos_mass += P[P > 0.0].sum()
@@ -421,8 +419,7 @@ class MapMaker:
                          density=density, azimuth_model=(
                              "dipole" if pd.dipolar else "vonmises"),
                          pol_angle=nodes.pol_angle, azimuth_ratio=ratio,
-                         concentration=concentration,
-                         jacobian=spec.jacobian, metadata=meta)
+                         concentration=concentration, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +427,10 @@ class MapMaker:
 
 @dataclass(frozen=True)
 class DetectorMap:
-    """Unfolded event-rate density on a (Y, T) cut at X = 0."""
+    """Unfolded event-rate density on a (Y, T) cut at X = 0, with the
+    time weight of `FoldedMap`."""
 
-    g: float
-    y: np.ndarray
-    T: np.ndarray
     density: np.ndarray
-    jacobian: str
     metadata: dict = field(compare=False)
 
 
@@ -480,18 +474,14 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
         # single kick direction: evaluate the Gaussian ridge at the
         # detector azimuth directly
         wmix = np.exp(kap * (math.cos(0.5 * math.pi - nodes.pol_angle) - 1.0))
-    w_time = tau if spec.jacobian == "tau" \
-        else np.broadcast_to(T[None, :], tmat.shape).ravel()
     density = ((gauss * wmix * rate).sum(axis=1)
-               * (m * m / w_time ** 2) / (2.0 * math.pi * dp * dp)
+               * (m * m / tau ** 2) / (2.0 * math.pi * dp * dp)
                ).reshape(tmat.shape)
     neg = -density[density < 0.0].sum()
     pos = density[density > 0.0].sum()
     meta = {"clipped_mass": float(neg / max(pos, 1e-300)),
             "n_z": int(grid.xi.shape[0])}
-    return DetectorMap(g=basis.scales.g, y=y.copy(), T=T.copy(),
-                       density=np.maximum(density, 0.0),
-                       jacobian=spec.jacobian, metadata=meta)
+    return DetectorMap(density=np.maximum(density, 0.0), metadata=meta)
 
 
 def annihilation_current(basis: GQSBasis, trap: TrapConfig,
@@ -524,5 +514,4 @@ def annihilation_current(basis: GQSBasis, trap: TrapConfig,
     # the quadrature runs through the azimuths of one polar node at a time
     w_u = (quad.weights * gauss).reshape(u.shape[0], -1).sum(axis=1)
     total = float(w_u @ rate_u)
-    w_time = tau[0] if spec.jacobian == "tau" else T
-    return total * (m * m / (w_time * w_time))
+    return total * (m * m / (tau[0] * tau[0]))

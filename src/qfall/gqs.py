@@ -39,12 +39,6 @@ class GQSBasis:
 
     table: AiryZeroTable
     scales: GravScales
-    z_max: float
-
-    def __post_init__(self):
-        if self.z_max < self.table.values[-1] * self.scales.length:
-            raise DomainError("z_max must cover the classical turning point "
-                              "of the highest retained mode")
 
     @property
     def n_max(self) -> int:
@@ -54,17 +48,21 @@ class GQSBasis:
     def lam_max(self) -> float:
         return float(self.table.values[-1])
 
+    @property
+    def z_max(self) -> float:
+        """Top of the mode grid: Z_MAX_PAD gravitational lengths above the
+        highest retained mode's classical turning point."""
+        return (self.lam_max + Z_MAX_PAD) * self.scales.length
 
-def build_basis(n_max: int, g: float = G_DEFAULT, z_max: float | None = None,
+
+def build_basis(n_max: int, g: float = G_DEFAULT,
                 table: AiryZeroTable | None = None) -> GQSBasis:
     scales = derive_scales(g)
     if table is None:
         table = airy_zeros(n_max)
     elif table.n_max != n_max:
         raise DomainError("zero table does not match requested n_max")
-    if z_max is None:
-        z_max = (float(table.values[-1]) + Z_MAX_PAD) * scales.length
-    return GQSBasis(table=table, scales=scales, z_max=z_max)
+    return GQSBasis(table=table, scales=scales)
 
 
 def classical_cutoff_velocity(basis: GQSBasis, height: float) -> float:

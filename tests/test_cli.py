@@ -36,6 +36,14 @@ def desk_cfg(tmp_path):
     return str(path)
 
 
+def _csv_rows(path):
+    """Data rows of a CSV file the CLI wrote, past its '#' lines and its
+    column header."""
+    with open(path) as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    return np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+
+
 def _manifest(out_dir, command):
     path = os.path.join(out_dir, "%s_manifest.json" % command)
     with open(path) as fh:
@@ -60,8 +68,7 @@ class TestLightCommands:
     def test_basis_table(self, tmp_path, desk_cfg):
         out = str(tmp_path)
         assert main(["basis", "--config", desk_cfg, "--out", out]) == 0
-        rows = np.loadtxt(tmp_path / "basis.csv", delimiter=",",
-                          skiprows=4)
+        rows = _csv_rows(tmp_path / "basis.csv")
         assert rows.shape == (50, 4)
         assert rows[0, 1] == pytest.approx(2.3381074104597674, abs=1e-10)
 
@@ -92,8 +99,7 @@ class TestLightCommands:
         out = str(tmp_path)
         assert main(["source-dist", "--config", desk_cfg,
                      "--out", out]) == 0
-        rows = np.loadtxt(tmp_path / "source_dist.csv", delimiter=",",
-                          skiprows=3)
+        rows = _csv_rows(tmp_path / "source_dist.csv")
         assert rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -102,8 +108,7 @@ class TestCurrentMap:
         out = str(tmp_path)
         assert main(["current-map", "--config", desk_cfg, "--out", out,
                      "--ny", "9", "--nT", "11"]) == 0
-        rows = np.loadtxt(tmp_path / "current_map.csv", delimiter=",",
-                          skiprows=4)
+        rows = _csv_rows(tmp_path / "current_map.csv")
         assert rows.shape == (9 * 11, 3)
         assert rows[:, 2].min() >= 0.0
         with open(tmp_path / "current_map.json") as fh:
@@ -161,8 +166,7 @@ class TestSimulateEstimate:
         with open(os.path.join(out_a, "estimate.json")) as fh:
             est = json.load(fh)
         assert abs(est["g_hat_mps2"] - 9.81) < 4 * est["sigma_mps2"]
-        scan = np.loadtxt(os.path.join(out_a, "estimate_scan.csv"),
-                          delimiter=",", skiprows=3)
+        scan = _csv_rows(os.path.join(out_a, "estimate_scan.csv"))
         assert scan.shape[0] == 11
 
     def test_event_csv_float_roundtrip(self, tmp_path, desk_cfg):
@@ -181,8 +185,12 @@ class TestSimulateEstimate:
          "line 3: n_source: .*'1e3x'"),
         ("# g_true = 9.8.1\nt_s,T_s,phi_rad\n0.05,0.3,1.0\n",
          "line 3: g_true: .*'9.8.1'"),
+        ("t_s,T_s,phi_rad,rbar_m\n0.05,0.3,1.0,0.3\nnan,0.3,1.0,0.3\n",
+         "line 5: t_s = nan is not finite"),
+        ("t_s,T_s,phi_rad,rbar_m\n0.05,-inf,1.0,0.3\n",
+         "line 4: T_s = -inf is not finite"),
     ], ids=["missing_column", "short_row", "bad_number", "bad_n_source",
-            "bad_g_true"])
+            "bad_g_true", "nan_time", "inf_arrival"])
     def test_bad_event_file_refused(self, tmp_path, desk_cfg, body, detail):
         path = tmp_path / "events.csv"
         path.write_text("# qfall 0.1.0\n# n_source = 100\n" + body)
@@ -217,8 +225,7 @@ class TestFisherCampaign:
         # the 9 nodes of the +-1e-4 window, fewer than the 11 scan points
         assert data["map_builds"] == 9
         assert data["node_tail"] <= NODE_TAIL
-        rows = np.loadtxt(tmp_path / "campaign_replicates.csv",
-                          delimiter=",", skiprows=4)
+        rows = _csv_rows(tmp_path / "campaign_replicates.csv")
         assert rows.shape == (4, 4)
         man = _manifest(out, "campaign")
         assert man["resolved"]["edge_hits"] == 0

@@ -24,7 +24,6 @@ class TestDefaults:
         assert cfg.fall_height == 0.3
         assert cfg.g == 9.81
         assert cfg.n_max == 1000
-        assert cfg.jacobian == "tau"
         assert cfg.likelihood == "conditional"
 
     def test_comments_and_blanks_ignored(self):
@@ -76,6 +75,9 @@ class TestValidation:
         for key in ("grid.horizontal_sigmas", "grid.vertical_pad_scales"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config("%s = 4" % key)
+        # one time weight for every map, not an option
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("freefall.jacobian = T")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="already set on line 1"):
@@ -107,9 +109,8 @@ class TestValidation:
             parse_config("inference.n_replicates = 1")
 
     def test_enum_values(self):
-        assert parse_config("freefall.jacobian = T").jacobian == "T"
-        with pytest.raises(ConfigError, match="jacobian"):
-            parse_config("freefall.jacobian = both")
+        assert parse_config("inference.likelihood = unconditional"
+                            ).likelihood == "unconditional"
         with pytest.raises(ConfigError, match="likelihood"):
             parse_config("inference.likelihood = profile")
 
@@ -126,6 +127,10 @@ class TestValidation:
                     "grid.fringe_samples = nan", "grid.z_samples = inf"):
             with pytest.raises(ConfigError):
                 parse_config(bad)
+        assert parse_config("grid.n_polar = 2").n_polar == 2
+        for bad in ("1", "0", "-3"):
+            with pytest.raises(ConfigError, match="n_polar"):
+                parse_config("grid.n_polar = %s" % bad)
 
     def test_polarization_forms(self):
         assert parse_config("source.polarization = z").polarization == (
@@ -171,13 +176,11 @@ class TestCanonicalForm:
 class TestComponents:
     def test_wiring(self):
         cfg = parse_config("source.frequency = 40 kHz\n"
-                           "geometry.fall_height = 0.5 m\n"
-                           "freefall.jacobian = T\n")
-        trap, pd, geom, spec = build_components(cfg)
+                           "geometry.fall_height = 0.5 m\n")
+        trap, pd, geom, _ = build_components(cfg)
         assert trap.frequency == 40e3
         assert pd.dipolar
         assert geom.fall_height == 0.5
-        assert spec.jacobian == "T"
         assert build_components(RunConfig())[3] == GridSpec()
 
     def test_kick_variant_wiring(self):

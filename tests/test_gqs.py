@@ -197,11 +197,6 @@ class TestBasis:
         want = (basis.lam_max + 10.0) * basis.scales.length
         assert basis.z_max == pytest.approx(want, rel=1e-14)
 
-    def test_z_max_invariant(self):
-        b = build_basis(100)
-        with pytest.raises(DomainError):
-            build_basis(100, z_max=0.5 * b.table.values[-1] * b.scales.length)
-
     def test_cutoff_velocity_above_ladder(self, basis):
         top = basis.lam_max * basis.scales.length
         assert classical_cutoff_velocity(basis, 2.0 * top) == 0.0
