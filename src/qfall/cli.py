@@ -26,7 +26,8 @@ from .freefall import MapMaker, current_map_yt, fall_windows
 from .gqs import build_basis, classical_cutoff_velocity, transmitted_fraction
 from .inference import (EventSet, GridDensityFamily, count_information,
                         cramer_rao_sigma, estimate_g, fisher_information,
-                        replicate_rng, run_campaign, sample_events)
+                        off_lattice_count, replicate_rng, run_campaign,
+                        sample_events)
 from .physcore import CONSTANTS, derive_scales
 from .source import polar_nodes
 
@@ -272,6 +273,9 @@ def _cmd_estimate(cfg, args, out_dir):
     _write_json(os.path.join(out_dir, "estimate.json"),
                 {"g_hat_mps2": est.value, "sigma_mps2": est.sigma,
                  "widened": est.widened, "n_detected": events.n_detected,
+                 # counted on the kept g0 map: no extra build
+                 "n_off_lattice": off_lattice_count(events,
+                                                    fam.map_at(fam.g0)),
                  "likelihood": cfg.likelihood})
     _write_csv(os.path.join(out_dir, "estimate_scan.csv"),
                {"n_detected": events.n_detected},

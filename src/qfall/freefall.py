@@ -21,9 +21,13 @@ reduced to exponentially scaled Bessel weights), `current_map_yt` (the
 unfolded density on a (Y, T) cut through the detector plane), and
 `annihilation_current` (a brute-force spot value summing explicit kick
 directions, kept as an independent cross-check of the folded assembly).
-All three take their recoil nodes from `source.polar_nodes`, their mode
-sums from `ModeGrid.fall_sums` and their per-node rates from `_node_rates`;
-the spot value takes its kick directions and dipole weights from
+All three take their recoil nodes from `source.polar_nodes` and their mode
+sums from `ModeGrid.fall_sums`, and contract the sums with the recoil-node
+overlaps in one helper: on the cut and the spot every row has its own edge
+time, so its mode phases are applied to F and G a block of rows at a time;
+on the folded map an edge time holds for every row, so the overlaps of a
+block of edge times are phased and multiplied with F and G in one product.
+The spot value takes its kick directions and dipole weights from
 `source.recoil_quadrature`.
 """
 
@@ -41,7 +45,8 @@ from .errors import ConfigError, DomainError
 from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
 from .kernels import mode_chirp_sums, simpson_weights
-from .mirror import DiskGeometry, evolve_to_end_of_disk, time_above_mirror
+from .mirror import (DiskGeometry, evolve_to_end_of_disk, mode_phases,
+                     time_above_mirror)
 from .physcore import CONSTANTS, G_DEFAULT, GravScales
 from .source import (DEFAULT_AZIMUTH_NODES, DEFAULT_POLAR_NODES,
                      PhotodetachConfig, TrapConfig, polar_nodes,
@@ -264,28 +269,67 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     return ModeGrid(xi=xi, wxi=wxi, chi=chi, idx_cut=idx_cut)
 
 
+#: rows per product of the node-rate contraction: rows of F and G on the
+#: per-row path, evolved overlaps of a block of edge times on the shared one
+_RATE_ROWS = 128
+
+
 def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
                 G: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF) SG).
 
     SF = sum_n c~_n F_n with c~ the overlaps `coeff` (n_u, N) evolved over
-    the edge time t; the result is (n_u, K) for the K rows of F and G.  One
-    scalar t phases the overlaps once; one t per row phases F and G instead,
-    so no (K, n_u, N) array of evolved overlaps is formed.
+    the edge time t, for the K rows of F and G.  A column t (K, 1) holds one
+    edge time per row and gives (K, n_u): each row's mode phases are taken
+    once and applied to F and G, `_RATE_ROWS` rows at a time, so no (K, N)
+    temporary is formed.  A flat t (E,) holds edge times shared by every
+    row and gives (E, n_u, K): the E evolved overlap sets are stacked into
+    one product with F and one with G.
     """
-    if np.ndim(t) == 0:
-        ctil = evolve_to_end_of_disk(basis, coeff, t)
-        SF, SG = ctil @ F.T, ctil @ G.T
-    else:
-        t = np.asarray(t)[:, None]
-        SF = (evolve_to_end_of_disk(basis, F, t) @ coeff.T).T
-        SG = (evolve_to_end_of_disk(basis, G, t) @ coeff.T).T
-    return -(CONSTANTS.atom_mass / (2.0 * math.pi * CONSTANTS.hbar)) \
-        * (1.0 / tau) * np.real(np.conj(SF) * SG)
+    t = np.asarray(t, dtype=float)
+    scale = -(CONSTANTS.atom_mass / (2.0 * math.pi * CONSTANTS.hbar)) \
+        * (1.0 / tau)
+    if t.ndim == 2:
+        rates = np.empty((t.shape[0], coeff.shape[0]))
+        for k0 in range(0, t.shape[0], _RATE_ROWS):
+            sl = slice(k0, k0 + _RATE_ROWS)
+            phases = mode_phases(basis, t[sl])
+            SF = (F[sl] * phases) @ coeff.T
+            phases *= G[sl]
+            rates[sl] = _product_rate(SF, phases @ coeff.T, scale[sl, None])
+            # freed before the next block's phases are allocated
+            del phases, SF
+        return rates
+    ctil = evolve_to_end_of_disk(basis, coeff, t[:, None, None])
+    ctil = ctil.reshape(-1, coeff.shape[1])
+    SF = ctil @ F.T
+    rates = _product_rate(SF, ctil @ G.T, scale)
+    return rates.reshape(t.shape[0], coeff.shape[0], -1)
+
+
+def _product_rate(SF: np.ndarray, SG: np.ndarray, scale) -> np.ndarray:
+    """scale Re(conj(SF) SG), formed in SF's memory: the result is a view
+    of SF, and no array of SF's size is allocated."""
+    rate = SF.real
+    rate *= SG.real
+    np.multiply(SF.imag, SG.imag, out=SF.imag)
+    rate += SF.imag
+    rate *= scale
+    return rate
 
 
 # ---------------------------------------------------------------------------
 # the folded estimation map
+
+def _lattice_band(lattice: np.ndarray, stride: int, width: int) -> np.ndarray:
+    """View (n_t, width) of the cells lattice[i, i stride + k], k < width,
+    of an (n_t, n_T) lattice; writable when the lattice is."""
+    s0, s1 = lattice.strides
+    return np.lib.stride_tricks.as_strided(
+        lattice, shape=(lattice.shape[0], width),
+        strides=(s0 + stride * s1, s1),
+        writeable=lattice.flags.writeable)
+
 
 def cell_masses(density: np.ndarray, cell_area: float) -> np.ndarray:
     """Bilinear mass of each lattice cell, shape (n_t - 1, n_T - 1)."""
@@ -376,39 +420,50 @@ class MapMaker:
         tau = axes.tau_values
         F, G = self.mode_grid.fall_sums(basis.scales, geom, tau)
 
-        n_t, n_T = axes.t.shape[0], axes.T.shape[0]
+        t = axes.t
         M = axes.n_tau
-        stride = axes.stride
         dp = self.trap.momentum_spread
         qbar = pd.recoil_momentum * np.sqrt(
             np.maximum(0.0, 1.0 - nodes.u ** 2))
         d = geom.travel_distance
+        pbar = m * d / t
+        kappa = np.outer(pbar, qbar) / (dp * dp)
+        gauss = np.exp(-(pbar[:, None] - qbar) ** 2 / (2.0 * dp * dp))
+        w_A = nodes.w_even * gauss * sps.ive(0, kappa)      # (n_t, n_u)
 
-        density = np.zeros((n_t, n_T))
-        ratio = np.zeros((n_t, n_T)) if pd.dipolar else None
-        concentration = np.zeros(n_t) if not pd.dipolar else None
+        density = np.zeros((t.shape[0], axes.T.shape[0]))
+        # row i of a band is the cells (i, i stride + k), k < M, of the
+        # lattice: the T of each lattice tau
+        band = _lattice_band(density, axes.stride, M)
+        T_band = _lattice_band(np.broadcast_to(axes.T, density.shape),
+                               axes.stride, M)
+        if pd.dipolar:
+            w_C = nodes.w_cos2 * gauss * sps.ive(2, kappa)
+            ratio = np.zeros(density.shape)
+            ratio_band = _lattice_band(ratio, axes.stride, M)
+            concentration = None
+        else:
+            ratio = None
+            concentration = kappa[:, 0].copy()
         neg_mass = 0.0
         pos_mass = 0.0
-        for i, ti in enumerate(axes.t):
-            rate = _node_rates(basis, coeff, ti, F, G, tau)   # (n_u, M)
-            pbar = m * d / ti
-            kappa = pbar * qbar / (dp * dp)
-            gauss = np.exp(-(pbar - qbar) ** 2 / (2.0 * dp * dp))
-            block = slice(i * stride, i * stride + M)
-            A = (nodes.w_even * gauss * sps.ive(0, kappa)) @ rate
+        # edge times per block: at most _RATE_ROWS evolved overlap rows
+        step = max(1, _RATE_ROWS // nodes.u.shape[0])
+        for i0 in range(0, t.shape[0], step):
+            rows = slice(i0, i0 + step)
+            rate = _node_rates(basis, coeff, t[rows], F, G, tau)
+            A = np.matmul(w_A[rows, None, :], rate)[:, 0]    # (rows, M)
             if pd.dipolar:
-                C = (nodes.w_cos2 * gauss * sps.ive(2, kappa)) @ rate
+                C = np.matmul(w_C[rows, None, :], rate)[:, 0]
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    ratio[i, block] = np.clip(np.where(
+                    ratio_band[rows] = np.clip(np.where(
                         A > 0.0, C / np.maximum(A, 1e-300), 0.0), 0.0, 1.0)
-            else:
-                concentration[i] = kappa[0]
-            Tj = axes.T[block]
-            P = (d * d * Tj * Tj / ti ** 3) * (m * m / tau ** 2) \
-                / (dp * dp) * A
+            Tj = T_band[rows]
+            P = (d * d * Tj * Tj / t[rows, None] ** 3) \
+                * (m * m / tau ** 2) / (dp * dp) * A
             neg_mass += -P[P < 0.0].sum()
             pos_mass += P[P > 0.0].sum()
-            density[i, block] = np.maximum(P, 0.0)
+            band[rows] = np.maximum(P, 0.0)
 
         meta = {"fraction": fraction,
                 "clipped_mass": float(neg_mass / max(pos_mass, 1e-300)),
@@ -455,7 +510,7 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
     tau = taumat.ravel()
     t = tmat.ravel()
     F, G = grid.fall_sums(basis.scales, geometry, tau)
-    rate = _node_rates(basis, coeff, t, F, G, tau).T  # (K, n_u)
+    rate = _node_rates(basis, coeff, t[:, None], F, G, tau)  # (K, n_u)
 
     dp = trap.momentum_spread
     qbar = photodetach.recoil_momentum * np.sqrt(
@@ -504,7 +559,7 @@ def annihilation_current(basis: GQSBasis, trap: TrapConfig,
                            photodetach.recoil_momentum * u)
     grid = _build_mode_grid(basis, geometry, (tau[0], tau[0]), spec)
     F, G = grid.fall_sums(basis.scales, geometry, tau)
-    rate_u = _node_rates(basis, coeff, t, F, G, tau)[:, 0]
+    rate_u = _node_rates(basis, coeff, [[t]], F, G, tau)[0]
 
     dp = trap.momentum_spread
     pvec = m * np.asarray([x, y]) / T

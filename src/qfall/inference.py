@@ -195,6 +195,12 @@ def _event_cells(events: EventSet, fmap: FoldedMap):
     return i, j, fi - i, fj - j, inside
 
 
+def off_lattice_count(events: EventSet, fmap: FoldedMap) -> int:
+    """Number of events outside the map's (t, T) lattice, which score the
+    density floor."""
+    return int(np.count_nonzero(~_event_cells(events, fmap)[4]))
+
+
 def _events_log_likelihood(events: EventSet, fmap: FoldedMap,
                            f: np.ndarray, inside: np.ndarray, Z, p,
                            conditional: bool):

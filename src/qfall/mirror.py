@@ -49,6 +49,25 @@ def time_above_mirror(geometry: DiskGeometry, radial_distance, total_time):
     return t if t.ndim else float(t)
 
 
+def mode_phases(basis: GQSBasis, t) -> np.ndarray:
+    """The mode phase factors exp(-i lambda_n t / t_g) of a time t above
+    the mirror, along a last axis of modes; an array t broadcasts against
+    it (a column of times gives one row each)."""
+    t = np.asarray(t, dtype=float)
+    # written so that NaN fails it too
+    if not np.all(t >= 0.0):
+        raise DomainError("time above the mirror must be nonnegative")
+    scaled = t / basis.scales.time
+    out = np.empty(np.broadcast_shapes(basis.table.values.shape,
+                                       scaled.shape), dtype=np.complex128)
+    # the phases are formed in the real part, so no real array is allocated
+    phase = np.multiply(basis.table.values, scaled, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.cos(phase, out=phase)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
 def evolve_to_end_of_disk(basis: GQSBasis, coefficients: np.ndarray,
                           t) -> np.ndarray:
     """Apply the mode phases accumulated during a time t above the mirror.
@@ -57,7 +76,4 @@ def evolve_to_end_of_disk(basis: GQSBasis, coefficients: np.ndarray,
     `coefficients`; an array t broadcasts against it (a column of times
     phases one row each).
     """
-    if np.any(np.less(t, 0.0)):
-        raise DomainError("time above the mirror must be nonnegative")
-    phase = basis.table.values * (t / basis.scales.time)
-    return coefficients * (np.cos(phase) - 1j * np.sin(phase))
+    return coefficients * mode_phases(basis, t)

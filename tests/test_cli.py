@@ -16,6 +16,7 @@ import qfall.cli as cli
 import qfall.gqs as gqs
 from qfall.cli import _read_events_csv, main
 from qfall.config import build_components, parse_config
+from qfall.freefall import MapMaker
 from qfall.inference import NODE_TAIL
 from qfall.physcore import derive_scales
 
@@ -166,8 +167,30 @@ class TestSimulateEstimate:
         with open(os.path.join(out_a, "estimate.json")) as fh:
             est = json.load(fh)
         assert abs(est["g_hat_mps2"] - 9.81) < 4 * est["sigma_mps2"]
+        assert est["n_off_lattice"] == 0
         scan = _csv_rows(os.path.join(out_a, "estimate_scan.csv"))
         assert scan.shape[0] == 11
+
+    def test_off_lattice_events_counted(self, tmp_path, monkeypatch):
+        # a 0.15 s fall is shorter than any fall time of the window, so
+        # the event scores the density floor; estimate.json counts it
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("physics.n_max = 20\n")
+        path = tmp_path / "events.csv"
+        path.write_text("# n_source = 100\nt_s,T_s,phi_rad,rbar_m\n"
+                        "0.05,0.2,1.0,0.2\n")
+        builds = []
+        build = MapMaker.build
+        monkeypatch.setattr(MapMaker, "build",
+                            lambda self, g: builds.append(g)
+                            or build(self, g))
+        out = str(tmp_path / "out")
+        assert main(["estimate", "--config", str(cfg), "--out", out,
+                     "--events", str(path)]) == 0
+        with open(os.path.join(out, "estimate.json")) as fh:
+            assert json.load(fh)["n_off_lattice"] == 1
+        # the count reads the kept g0 map: no g is built twice
+        assert len(builds) == len(set(builds))
 
     def test_event_csv_float_roundtrip(self, tmp_path, desk_cfg):
         out = str(tmp_path)

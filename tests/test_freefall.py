@@ -6,6 +6,7 @@ work while exercising the identical code paths used at full scale.
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ import scipy.special as sps
 
 from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
 from qfall.errors import ConfigError, DomainError
-from qfall.freefall import (GridSpec, MapMaker, _build_mode_grid, _node_rates,
-                            annihilation_current, current_map_yt,
-                            fall_windows, grid_axes, plane_current,
-                            propagate_profile, propagator_kernel)
+from qfall.freefall import (_RATE_ROWS, GridSpec, MapMaker, _build_mode_grid,
+                            _node_rates, annihilation_current,
+                            current_map_yt, fall_windows, grid_axes,
+                            plane_current, propagate_profile,
+                            propagator_kernel)
 from qfall.gqs import build_basis, overlap_matrix
-from qfall.mirror import DiskGeometry
+from qfall.mirror import DiskGeometry, evolve_to_end_of_disk
 from qfall.physcore import CONSTANTS, G_DEFAULT
 from qfall.source import build_photodetach, build_trap, polar_nodes
 
@@ -54,6 +56,51 @@ def _flux_exact_weight(fm):
     transmitted fraction."""
     tau_over_T = (fm.T[None, :] - fm.t[:, None]) / fm.T[None, :]
     return float((fm.density * tau_over_T ** 2).sum() * fm.cell_area)
+
+
+def _per_edge_time_assembly(maker, g):
+    """Density, azimuth ratio and concentration of `maker.build(g)`, formed
+    one edge time at a time with its own pair of overlap products: the
+    reference for the blocked assembly."""
+    axes, nodes = maker.axes, maker.nodes
+    pd, trap = maker.photodetach, maker.trap
+    m, hbar = CONSTANTS.atom_mass, CONSTANTS.hbar
+    basis = build_basis(maker.basis0.n_max, g, table=maker.basis0.table)
+    coeff = overlap_matrix(basis, GEO.release_height, trap.width,
+                           pd.recoil_momentum * nodes.u)
+    tau = axes.tau_values
+    F, G = maker.mode_grid.fall_sums(basis.scales, GEO, tau)
+    M = axes.n_tau
+    dp = trap.momentum_spread
+    qbar = pd.recoil_momentum * np.sqrt(np.maximum(0.0, 1.0 - nodes.u ** 2))
+    d = GEO.travel_distance
+    density = np.zeros((axes.t.shape[0], axes.T.shape[0]))
+    ratio = np.zeros(density.shape)
+    concentration = np.zeros(axes.t.shape[0])
+    for i, ti in enumerate(axes.t):
+        ctil = evolve_to_end_of_disk(basis, coeff, ti)
+        SF, SG = ctil @ F.T, ctil @ G.T
+        rate = -(m / (2.0 * math.pi * hbar)) * (1.0 / tau) \
+            * np.real(np.conj(SF) * SG)
+        pbar = m * d / ti
+        kappa = pbar * qbar / (dp * dp)
+        gauss = np.exp(-(pbar - qbar) ** 2 / (2.0 * dp * dp))
+        block = slice(i * axes.stride, i * axes.stride + M)
+        A = (nodes.w_even * gauss * sps.ive(0, kappa)) @ rate
+        C = (nodes.w_cos2 * gauss * sps.ive(2, kappa)) @ rate
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio[i, block] = np.clip(np.where(
+                A > 0.0, C / np.maximum(A, 1e-300), 0.0), 0.0, 1.0)
+        concentration[i] = kappa[0]
+        Tj = axes.T[block]
+        P = (d * d * Tj * Tj / ti ** 3) * (m * m / tau ** 2) \
+            / (dp * dp) * A
+        density[i, block] = np.maximum(P, 0.0)
+    return density, ratio, concentration
+
+
+def _close(got, want, rel):
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
 class TestPropagator:
@@ -281,6 +328,23 @@ class TestFoldedMap:
         assert _flux_exact_weight(fm) == pytest.approx(fm.metadata["fraction"],
                                                        rel=1e-3)
 
+    def test_blocked_assembly_equals_per_edge_time_loop(self, trap, recoil):
+        # the assembly contracts a block of edge times per product; the
+        # desk lattice ends on a part block
+        kick = build_photodetach(0.0, kick_velocity=0.9)
+        for pd in (recoil, kick):
+            maker = MapMaker(N_DESK, trap, pd, GEO)
+            step = _RATE_ROWS // maker.nodes.u.shape[0]
+            assert maker.axes.t.shape[0] % step != 0
+            fm = maker.build(G_DEFAULT)
+            density, ratio, concentration = _per_edge_time_assembly(
+                maker, G_DEFAULT)
+            assert _close(fm.density, density, 1e-14)
+            if pd.dipolar:
+                assert _close(fm.azimuth_ratio, ratio, 1e-14)
+            else:
+                assert _close(fm.concentration, concentration, 1e-14)
+
     def test_tilted_polarization_rejected(self, basis, trap):
         # the folded map and the detector cut share one tilt check, so a
         # barely tilted polarization fails on both paths
@@ -294,18 +358,44 @@ class TestFoldedMap:
 
 class TestDetectorCut:
     def test_rate_contraction_orders_agree(self, basis, trap, recoil):
-        # one edge time per row must give what one shared edge time gives
+        # one edge time per row must give what one shared edge time gives,
+        # for row counts on both sides of a block boundary
         nodes = polar_nodes(recoil)
         coeff = overlap_matrix(basis, GEO.release_height, trap.width,
                                recoil.recoil_momentum * nodes.u)
-        tau = np.linspace(0.24, 0.25, 40)
+        t = 0.049
+        for K in (1, 40, _RATE_ROWS - 1, _RATE_ROWS, _RATE_ROWS + 1):
+            tau = np.linspace(0.24, 0.25, K)
+            grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]),
+                                    GridSpec())
+            F, G = grid.fall_sums(basis.scales, GEO, tau)
+            shared = _node_rates(basis, coeff, [t], F, G, tau)
+            per_row = _node_rates(basis, coeff, np.full((K, 1), t), F, G,
+                                  tau)
+            assert shared.shape == (1, nodes.u.shape[0], K)
+            assert per_row.shape == (K, nodes.u.shape[0])
+            assert np.abs(per_row.T - shared[0]).max() \
+                < 1e-13 * np.abs(shared).max()
+
+    def test_per_row_rates_stay_below_the_size_of_F(self, basis, trap,
+                                                    recoil):
+        # the per-row step phases and contracts a block of rows at a time,
+        # so on 4 blocks its traced peak is below one (K, N) array
+        nodes = polar_nodes(recoil)
+        coeff = overlap_matrix(basis, GEO.release_height, trap.width,
+                               recoil.recoil_momentum * nodes.u)
+        K = 4 * _RATE_ROWS
+        tau = np.linspace(0.24, 0.25, K)
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
         F, G = grid.fall_sums(basis.scales, GEO, tau)
-        t = 0.049
-        shared = _node_rates(basis, coeff, t, F, G, tau)
-        per_row = _node_rates(basis, coeff, np.full(tau.shape, t), F, G, tau)
-        assert shared.shape == per_row.shape == (nodes.u.shape[0], 40)
-        assert np.abs(per_row - shared).max() < 1e-13 * np.abs(shared).max()
+        t = np.linspace(0.045, 0.055, K)[:, None]
+        tracemalloc.start()
+        try:
+            _node_rates(basis, coeff, t, F, G, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < F.nbytes
 
     def test_matches_brute_force(self, basis, trap, recoil):
         y = np.linspace(0.27, 0.34, 15)

@@ -87,6 +87,12 @@ class TestEvolution:
         with pytest.raises(DomainError):
             evolve_to_end_of_disk(basis, coeffs, np.asarray([[0.1], [-1e-3]]))
 
+    def test_nan_time_rejected(self, basis, coeffs):
+        with pytest.raises(DomainError):
+            evolve_to_end_of_disk(basis, coeffs, math.nan)
+        with pytest.raises(DomainError):
+            evolve_to_end_of_disk(basis, coeffs, np.asarray([[0.1], [math.nan]]))
+
 
 class TestMomentumDensity:
     def test_parseval_retained_fraction(self, basis, coeffs):
