@@ -210,6 +210,10 @@ def _cmd_current_map(cfg, args, out_dir):
     for flag, count in (("--ny", args.ny), ("--nT", args.nT)):
         if count < 1:
             raise ConfigError("%s must be at least 1, got %d" % (flag, count))
+    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max),
+                        ("--T-min", args.T_min), ("--T-max", args.T_max)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError("%s must be finite, got %r" % (flag, value))
     trap, pd, geom, spec = _folded_components(cfg)
     basis = build_basis(cfg.n_max, cfg.g)
     win = fall_windows(basis, trap, pd, geom)

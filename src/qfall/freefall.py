@@ -231,17 +231,19 @@ class ModeGrid:
     """Dimensionless mode samples shared by every gravity value in a scan."""
 
     xi: np.ndarray       # z / l
-    wxi: np.ndarray      # Simpson weights in xi
     chi: np.ndarray      # (n_max, J) Ai(xi - lambda_n) / Ai'(-lambda_n)
+    #                      times the Simpson weights in xi, set at build
     idx_cut: np.ndarray  # per-mode sample count up to the support cut;
     #                      chi is 0.0 from there on
 
     def fall_sums(self, scales: GravScales, geometry: DiskGeometry, tau):
         """Mode sums F, G, shape (K, n_max), for the fall times tau (K,)."""
         ell = scales.length
-        chi_w = self.chi * (self.wxi * math.sqrt(ell))[None, :]
-        return _chirp_sums(chi_w, self.xi * ell, self.idx_cut, tau,
+        F, G = _chirp_sums(self.chi, self.xi * ell, self.idx_cut, tau,
                            -geometry.fall_height, scales.g)
+        F *= math.sqrt(ell)  # the modes' sqrt(l), one scalar per g
+        G *= math.sqrt(ell)
+        return F, G
 
 
 def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
@@ -261,12 +263,12 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
         count += 1
     xi_sup = z_sup / scales.length
     xi = np.linspace(0.0, xi_sup, count)
-    wxi = simpson_weights(count, xi[1] - xi[0])
     idx_cut = np.minimum(
         np.searchsorted(xi, basis.table.support, side="right"),
         count).astype(np.int64)
     chi = _airy_rows(basis.table, [0.0], xi[1] - xi[0], idx_cut, count)[0]
-    return ModeGrid(xi=xi, wxi=wxi, chi=chi, idx_cut=idx_cut)
+    chi *= simpson_weights(count, xi[1] - xi[0])
+    return ModeGrid(xi=xi, chi=chi, idx_cut=idx_cut)
 
 
 #: rows per product of the node-rate contraction: rows of F and G on the

@@ -26,10 +26,10 @@ second chirp array:
     G = ((zprime - z_0) invtau - gtau) F - invtau H,
     H = sum_j chi_w[n, j] (z_j - z_0) exp(i alpha (zprime - z_j)^2),
 
-and F and H come out of one product per chunk: the rows [Re e; Im e;
-Re (z - z_0) e; Im (z - z_0) e], e = exp(i alpha (zprime - z)^2), of the
-chunk's lattice times, against the mode matrix with its heights permuted
-once per call into the block order.
+and F and H come out of one product per chunk: the mode matrix as given,
+never copied, against one row per height (z order) of the columns [Re e;
+Im e; Re (z - z_0) e; Im (z - z_0) e], e = exp(i alpha (zprime - z)^2), of
+the chunk's lattice times; only the small z offset table is block ordered.
 """
 
 from __future__ import annotations
@@ -83,66 +83,58 @@ def _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
         raise DomainError("z must be a uniform grid")
 
 
-def _b_major(x, count):
-    """x (..., J) as (B, count, ...) holding height j = B m + b at [b, m],
-    with zeros from J up to count B."""
-    padded = np.zeros(x.shape[:-1] + (count * _BLOCK,))
-    padded[..., :x.shape[-1]] = x
-    return np.ascontiguousarray(padded.reshape(x.shape[:-1]
-                                               + (count, _BLOCK)).T)
-
-
 def mode_chirp_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
     """F, G of shape (K, n_modes) for the K lattice times of alpha.
 
     The lattice axis runs in chunks of `_CHUNK_ROWS` rows, each one dense
-    product over the full z grid; chi_w must already be zero past each
-    mode's `idx_cut`, and z must be uniform.
+    product of chi_w as given over the full z grid; chi_w must already be
+    zero past each mode's `idx_cut`, and z must be uniform.
     """
     _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau)
     K, N = alpha.shape[0], chi_w.shape[0]
     J, B = z.shape[0], _BLOCK
     M = -(-J // B)
     h = (z[-1] - z[0]) / (J - 1)
-    chi_p = _b_major(chi_w, M).reshape(B * M, N)
-    # z from z[0], so that H carries no offset
-    z_p = _b_major(z - z[0], M)
-    anchors = z[::B].astype(np.longdouble)
-    offsets_sq = (h * np.arange(B)) ** 2
+    # z from z[0], so that H carries no offset; height B m + b at [b, m]
+    z_p = np.pad(z - z[0], (0, M * B - J)).reshape(M, B).T
+    anchors = z[::B].astype(np.longdouble)[:, None]
+    offsets_sq = (h * np.arange(B))[:, None] ** 2
     F = np.empty((K, N), dtype=np.complex128)
     G = np.empty((K, N), dtype=np.complex128)
-    # rows [Re e; Im e; Re (z - z_0) e; Im (z - z_0) e] of one chunk,
-    # e = exp(i alpha (zprime - z)^2), columns in the order of chi_p
-    buf = np.empty(4 * min(K, _CHUNK_ROWS) * B * M)
+    # one row per height, padded to M B, and the columns [Re e; Im e;
+    # Re (z - z_0) e; Im (z - z_0) e] of one chunk's lattice times
+    buf = np.empty(M * B * 4 * min(K, _CHUNK_ROWS))
     for k0 in range(0, K, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, K - k0)
         sl = slice(k0, k0 + rows)
-        a = alpha[sl][:, None]
+        a = alpha[sl]
         # anchor phases exact to float64 rounding after the mod-2 pi cut:
         # one error there is shared by the B heights of its block
-        u = zprime[sl].astype(np.longdouble)[:, None] - anchors
+        u = zprime[sl].astype(np.longdouble) - anchors
         phase = np.mod(a.astype(np.longdouble) * u * u, _TWO_PI)
         term = np.exp(1j * phase.astype(np.float64))
         w = np.exp(-2j * h * a * u.astype(np.float64))
         c = np.exp(1j * a * offsets_sq)
-        chunk = buf[:4 * rows * B * M].reshape(2, 2, rows, B, M)
+        chunk = buf[:M * B * 4 * rows].reshape(M, B, 2, 2, rows)
         # e and (z - z_0) e at height b of every block, as real and
         # imaginary parts
-        ez = np.empty((2, rows, M), dtype=np.complex128)
-        parts = ez.view(np.float64).reshape(2, rows, M, 2).transpose(
-            0, 3, 1, 2)
+        ez = np.empty((2, M, rows), dtype=np.complex128)
+        parts = ez.view(np.float64).reshape(2, M, rows, 2).transpose(
+            1, 0, 3, 2)
         for b in range(B):
-            np.multiply(term, c[:, b, None], out=ez[0])
-            np.multiply(ez[0], z_p[b], out=ez[1])
-            chunk[:, :, :, b] = parts
+            np.multiply(term, c[b], out=ez[0])
+            np.multiply(ez[0], z_p[b, :, None], out=ez[1])
+            chunk[:, b] = parts
             if b + 1 < B:
                 term *= w
-        prod = chunk.reshape(4 * rows, B * M) @ chi_p
-        F[sl].real = prod[:rows]
-        F[sl].imag = prod[rows:2 * rows]
+        # F and H as real and imaginary parts, each (rows, N)
+        f_re, f_im, h_re, h_im = (chi_w @ chunk.reshape(M * B, 4 * rows)[:J]
+                                  ).T.reshape(4, rows, N)
+        F[sl].real = f_re
+        F[sl].imag = f_im
         # G = sum chi e ((zprime - z) / tau - g tau) = v0 F - H / tau
         v0 = ((zprime[sl] - z[0]) * invtau[sl] - gtau[sl])[:, None]
         it = invtau[sl][:, None]
-        G[sl].real = v0 * prod[:rows] - it * prod[2 * rows:3 * rows]
-        G[sl].imag = v0 * prod[rows:2 * rows] - it * prod[3 * rows:]
+        G[sl].real = v0 * f_re - it * h_re
+        G[sl].imag = v0 * f_im - it * h_im
     return F, G

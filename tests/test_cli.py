@@ -129,6 +129,19 @@ class TestCurrentMap:
         assert "ConfigError" in error and flag in error
         assert not (tmp_path / "current_map.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--y-min", "nan"), ("--y-max", "inf"), ("--T-min", "nan"),
+        ("--T-max", "-inf")])
+    def test_non_finite_window_refused_before_compute(
+            self, tmp_path, desk_cfg, monkeypatch, flag, value):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out,
+                     "%s=%s" % (flag, value)]) == 1
+        error = _manifest(out, "current_map")["error"]
+        assert "ConfigError" in error and flag in error
+        assert not (tmp_path / "current_map.csv").exists()
+
     def test_folded_export(self, tmp_path, desk_cfg):
         out = str(tmp_path)
         assert main(["current-map", "--config", desk_cfg, "--out", out,

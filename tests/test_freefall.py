@@ -20,6 +20,7 @@ from qfall.freefall import (_RATE_ROWS, GridSpec, MapMaker, _build_mode_grid,
                             plane_current, propagate_profile,
                             propagator_kernel)
 from qfall.gqs import build_basis, overlap_matrix
+from qfall.kernels import simpson_weights
 from qfall.mirror import DiskGeometry, evolve_to_end_of_disk
 from qfall.physcore import CONSTANTS, G_DEFAULT
 from qfall.source import build_photodetach, build_trap, polar_nodes
@@ -257,10 +258,11 @@ class TestFoldedMap:
         # the chirp kernel sums every mode over the whole z grid, so each
         # mode's support cut must be carried by zeros in its chi row; rows
         # are evaluated only up to the cut, where they match the full mode
-        # matrix to 1e-12 of each row's maximum
+        # matrix times the Simpson weights to 1e-12 of each row's maximum
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
-        full = eigenfunction_matrix(basis.table, grid.xi)
+        full = eigenfunction_matrix(basis.table, grid.xi) * simpson_weights(
+            grid.xi.shape[0], grid.xi[1] - grid.xi[0])
         assert grid.idx_cut.min() < grid.xi.shape[0]
         for n, cut in enumerate(grid.idx_cut):
             assert grid.chi[n, :cut].any()
@@ -270,17 +272,33 @@ class TestFoldedMap:
 
     @pytest.mark.parametrize("z_samples", [2.0, 4.0, 12.0])
     def test_mode_grid_matches_scipy_rows(self, trap, recoil, z_samples):
-        # the 300-mode grid's shifted rows against one scipy call per row,
-        # up to each support cut
+        # the 300-mode grid's shifted rows against one scipy call per row
+        # times the Simpson weights, up to each support cut
         basis = build_basis(300)
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]),
                                 GridSpec(z_samples=z_samples))
+        w = simpson_weights(grid.xi.shape[0], grid.xi[1] - grid.xi[0])
         for n, cut in enumerate(grid.idx_cut):
             want = (sps.airy(grid.xi[:cut] - basis.table.values[n])[0]
-                    / basis.table.ai_prime[n])
+                    / basis.table.ai_prime[n]) * w[:cut]
             err = np.max(np.abs(grid.chi[n, :cut] - want))
             assert err <= 1e-12 * np.max(np.abs(want))
+
+    def test_fall_sums_make_no_copy_of_the_mode_matrix(self, trap, recoil):
+        # the grid's chi is already weighted and the kernel multiplies it
+        # as it is, so on a few fall times a build's traced peak stays far
+        # below one more (N, J) array
+        basis = build_basis(300)
+        tau = grid_axes(basis, trap, recoil, GEO).tau_values
+        grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
+        tracemalloc.start()
+        try:
+            grid.fall_sums(basis.scales, GEO, tau[:4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * grid.chi.nbytes
 
     def test_z_refinement_stable(self, trap, recoil, desk_map):
         fine = MapMaker(N_DESK, trap, recoil, GEO,

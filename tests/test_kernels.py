@@ -1,6 +1,7 @@
 """Chirped mode-sum kernel: explicit truncated sums, quadrature oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,28 @@ class TestEngines:
                 for x in (F, G):
                     assert not np.shares_memory(x, F1)
                     assert not np.shares_memory(x, G1)
+
+    @pytest.mark.parametrize("n_z", [3, 5, 31, 33, 65])
+    def test_short_grids(self, n_z):
+        # grids shorter than and around one block of heights: the chunk's
+        # padded heights past n_z must not reach the sums
+        problem = make_problem(n_modes=5, n_z=n_z, k=9)
+        F, G = mode_chirp_sums(*problem)
+        want_f, want_g = explicit_sums(*problem, dtype=np.longdouble)
+        assert_within(F, G, want_f, want_g, np.sum(np.abs(problem[0])),
+                      1e-13, 1e-12)
+
+    def test_mode_matrix_is_not_copied(self):
+        # the products take chi_w as it is given: on one lattice time the
+        # traced peak is a small fraction of the mode matrix
+        problem = make_problem(n_modes=300, n_z=4097, k=1)
+        tracemalloc.start()
+        try:
+            mode_chirp_sums(*problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * problem[0].nbytes
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_against_extended_precision(self, seed):
