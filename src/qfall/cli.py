@@ -214,6 +214,11 @@ def _cmd_current_map(cfg, args, out_dir):
                         ("--T-min", args.T_min), ("--T-max", args.T_max)):
         if value is not None and not math.isfinite(value):
             raise ConfigError("%s must be finite, got %r" % (flag, value))
+    if args.T_min is not None and args.T_min <= 0.0:
+        raise ConfigError("--T-min must be positive, got %r" % args.T_min)
+    if args.T_max is not None and args.T_max <= 0.0:
+        raise ConfigError("--T-max=%r leaves no fall time: the T window "
+                          "must lie above 0 s" % args.T_max)
     trap, pd, geom, spec = _folded_components(cfg)
     basis = build_basis(cfg.n_max, cfg.g)
     win = fall_windows(basis, trap, pd, geom)
@@ -225,6 +230,16 @@ def _cmd_current_map(cfg, args, out_dir):
         geom.travel_distance * T_lo / win["t_hi"])
     y_hi = args.y_max if args.y_max is not None else (
         geom.travel_distance * T_hi / win["t_lo"])
+    if min(abs(y_lo), abs(y_hi)) <= geom.travel_distance \
+            or y_lo * y_hi < 0.0:
+        # every y of the cut must lie outside the mirror, on one side of it
+        ends = [flag if value is not None else
+                "%s derived from the T window" % flag[2:]
+                for flag, value in (("--y-min", args.y_min),
+                                    ("--y-max", args.y_max))]
+        raise ConfigError("y window [%g, %g] m (%s and %s) reaches |y| <= "
+                          "travel_distance = %g m"
+                          % (y_lo, y_hi, *ends, geom.travel_distance))
     y = np.linspace(y_lo, y_hi, args.ny)
     T = np.linspace(T_lo, T_hi, args.nT)
     dm = current_map_yt(basis, trap, pd, geom, y, T, spec)

@@ -13,7 +13,9 @@ computed by the kernels module.  With the atom landing at radial distance
 rbar after total time T, the time above the disk is t = T d / rbar and the
 fall takes tau = T - t; on a lattice where the t step is an integer multiple
 of the T step, every cell's tau lands on one shared tau lattice and the
-chirp sums are computed once per tau value.
+chirp sums are computed once per tau value.  Both lattice paths form the
+sums a slab of `_SLAB_ROWS` lattice times at a time and contract each slab
+before the next is formed, so F and G are never held for the whole lattice.
 
 The detector-plane observables come in three forms: `MapMaker.build` (the
 azimuth-integrated (t, T) density used for estimation, with the kick azimuth
@@ -274,6 +276,10 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
 #: rows per product of the node-rate contraction: rows of F and G on the
 #: per-row path, evolved overlaps of a block of edge times on the shared one
 _RATE_ROWS = 128
+#: lattice times whose mode sums are formed and contracted at a time; a
+#: multiple of the kernel's chunk and of `_RATE_ROWS`, so that every
+#: product sees the rows it would see on the whole lattice
+_SLAB_ROWS = 512
 
 
 def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
@@ -281,7 +287,8 @@ def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
     """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF) SG).
 
     SF = sum_n c~_n F_n with c~ the overlaps `coeff` (n_u, N) evolved over
-    the edge time t, for the K rows of F and G.  A column t (K, 1) holds one
+    the edge time t, for the K rows of F and G: on the map paths one slab
+    of at most `_SLAB_ROWS` lattice times.  A column t (K, 1) holds one
     edge time per row and gives (K, n_u): each row's mode phases are taken
     once and applied to F and G, `_RATE_ROWS` rows at a time, so no (K, N)
     temporary is formed.  A flat t (E,) holds edge times shared by every
@@ -420,8 +427,6 @@ class MapMaker:
         fraction = float(nodes.w_even @ np.sum(np.abs(coeff) ** 2, axis=1))
 
         tau = axes.tau_values
-        F, G = self.mode_grid.fall_sums(basis.scales, geom, tau)
-
         t = axes.t
         M = axes.n_tau
         dp = self.trap.momentum_spread
@@ -451,21 +456,27 @@ class MapMaker:
         pos_mass = 0.0
         # edge times per block: at most _RATE_ROWS evolved overlap rows
         step = max(1, _RATE_ROWS // nodes.u.shape[0])
-        for i0 in range(0, t.shape[0], step):
-            rows = slice(i0, i0 + step)
-            rate = _node_rates(basis, coeff, t[rows], F, G, tau)
-            A = np.matmul(w_A[rows, None, :], rate)[:, 0]    # (rows, M)
-            if pd.dipolar:
-                C = np.matmul(w_C[rows, None, :], rate)[:, 0]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    ratio_band[rows] = np.clip(np.where(
-                        A > 0.0, C / np.maximum(A, 1e-300), 0.0), 0.0, 1.0)
-            Tj = T_band[rows]
-            P = (d * d * Tj * Tj / t[rows, None] ** 3) \
-                * (m * m / tau ** 2) / (dp * dp) * A
-            neg_mass += -P[P < 0.0].sum()
-            pos_mass += P[P > 0.0].sum()
-            band[rows] = np.maximum(P, 0.0)
+        for k0 in range(0, M, _SLAB_ROWS):
+            ks = slice(k0, k0 + _SLAB_ROWS)
+            F, G = self.mode_grid.fall_sums(basis.scales, geom, tau[ks])
+            for i0 in range(0, t.shape[0], step):
+                rows = slice(i0, i0 + step)
+                rate = _node_rates(basis, coeff, t[rows], F, G, tau[ks])
+                A = np.matmul(w_A[rows, None, :], rate)[:, 0]  # (rows, ks)
+                if pd.dipolar:
+                    C = np.matmul(w_C[rows, None, :], rate)[:, 0]
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        ratio_band[rows, ks] = np.clip(np.where(
+                            A > 0.0, C / np.maximum(A, 1e-300), 0.0),
+                            0.0, 1.0)
+                Tj = T_band[rows, ks]
+                P = (d * d * Tj * Tj / t[rows, None] ** 3) \
+                    * (m * m / tau[ks] ** 2) / (dp * dp) * A
+                neg_mass += -P[P < 0.0].sum()
+                pos_mass += P[P > 0.0].sum()
+                band[rows, ks] = np.maximum(P, 0.0)
+            # freed before the next slab's sums are formed
+            del F, G
 
         meta = {"fraction": fraction,
                 "clipped_mass": float(neg_mass / max(pos_mass, 1e-300)),
@@ -498,7 +509,7 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
     """Density per unit detector area and time along the Y axis (X = 0)."""
     y = np.asarray(y_values, dtype=float)
     T = np.asarray(T_values, dtype=float)
-    tmat = time_above_mirror(geometry, y[:, None], T[None, :])
+    tmat = time_above_mirror(geometry, np.abs(y)[:, None], T[None, :])
     taumat = T[None, :] - tmat
     if np.any(taumat <= 0.0):
         raise DomainError("every (y, T) cell must leave time for the fall")
@@ -511,8 +522,12 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
                             (float(taumat.min()), float(taumat.max())), spec)
     tau = taumat.ravel()
     t = tmat.ravel()
-    F, G = grid.fall_sums(basis.scales, geometry, tau)
-    rate = _node_rates(basis, coeff, t[:, None], F, G, tau)  # (K, n_u)
+    rate = np.empty((tau.shape[0], nodes.u.shape[0]))
+    for k0 in range(0, tau.shape[0], _SLAB_ROWS):
+        sl = slice(k0, k0 + _SLAB_ROWS)
+        F, G = grid.fall_sums(basis.scales, geometry, tau[sl])
+        rate[sl] = _node_rates(basis, coeff, t[sl, None], F, G, tau[sl])
+        del F, G
 
     dp = trap.momentum_spread
     qbar = photodetach.recoil_momentum * np.sqrt(
@@ -520,17 +535,20 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
     pbar = m * geometry.travel_distance / t
     kap = np.outer(pbar, qbar) / (dp * dp)
     gauss = np.exp(-(pbar[:, None] - qbar[None, :]) ** 2 / (2.0 * dp * dp))
-    # at X = 0 the detector azimuth is +-pi/2
+    # at X = 0 the detector azimuth is sign(y) pi/2
     if photodetach.dipolar:
         # only harmonics 0 and 2 of the kick azimuth survive the dipole
-        # marginal, so the ring fold closes exactly
+        # marginal, so the ring fold closes exactly; cos 2 phi is the same
+        # at +pi/2 and -pi/2
         cos2phi = math.cos(2.0 * (0.5 * math.pi - nodes.pol_angle))
         wmix = (nodes.w_even * sps.ive(0, kap)
                 + cos2phi * nodes.w_cos2 * sps.ive(2, kap))
     else:
         # single kick direction: evaluate the Gaussian ridge at the
         # detector azimuth directly
-        wmix = np.exp(kap * (math.cos(0.5 * math.pi - nodes.pol_angle) - 1.0))
+        ridge = np.where(y < 0.0, math.cos(-0.5 * math.pi - nodes.pol_angle),
+                         math.cos(0.5 * math.pi - nodes.pol_angle)) - 1.0
+        wmix = np.exp(kap * np.repeat(ridge, T.shape[0])[:, None])
     density = ((gauss * wmix * rate).sum(axis=1)
                * (m * m / tau ** 2) / (2.0 * math.pi * dp * dp)
                ).reshape(tmat.shape)

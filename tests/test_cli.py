@@ -142,6 +142,55 @@ class TestCurrentMap:
         assert "ConfigError" in error and flag in error
         assert not (tmp_path / "current_map.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-0.2"])
+    def test_non_positive_T_min_refused_before_compute(
+            self, tmp_path, desk_cfg, monkeypatch, value):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out,
+                     "--T-min=%s" % value]) == 1
+        error = _manifest(out, "current_map")["error"]
+        assert "ConfigError: --T-min must be positive" in error
+
+    def test_T_window_without_fall_time_refused_before_compute(
+            self, tmp_path, desk_cfg, monkeypatch):
+        monkeypatch.setattr(gqs, "airy_zeros", _no_zero_table)
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out,
+                     "--T-max=-0.1"]) == 1
+        error = _manifest(out, "current_map")["error"]
+        assert "ConfigError: --T-max=-0.1 leaves no fall time" in error
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--y-min=0.04"], "--y-min and y-max derived from the T window"),
+        (["--y-min=-0.3", "--y-max=0.3"], "--y-min and --y-max"),
+        (["--T-min=0.001"], "y-min derived from the T window and y-max "
+         "derived from the T window")])
+    def test_y_window_on_the_mirror_refused_before_the_cut(
+            self, tmp_path, desk_cfg, monkeypatch, flags, named):
+        # a y window reaching |y| <= travel_distance, straddling 0 or not,
+        # is refused naming its ends, not inside the cut
+        def no_cut(*args, **kwargs):
+            raise AssertionError("the cut ran")
+
+        monkeypatch.setattr(cli, "current_map_yt", no_cut)
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out]
+                    + flags) == 1
+        error = _manifest(out, "current_map")["error"]
+        assert error.startswith("ConfigError: y window")
+        assert "(%s)" % named in error
+        assert "travel_distance" in error
+
+    def test_negative_y_cut(self, tmp_path, desk_cfg):
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out,
+                     "--y-min=-0.3", "--y-max=-0.27", "--T-min=0.29",
+                     "--T-max=0.3", "--ny", "3", "--nT", "3"]) == 0
+        with open(tmp_path / "current_map.json") as fh:
+            data = json.load(fh)
+        assert data["peak_y_m"] < 0.0 and data["peak_density_per_m2s"] > 0
+
     def test_folded_export(self, tmp_path, desk_cfg):
         out = str(tmp_path)
         assert main(["current-map", "--config", desk_cfg, "--out", out,

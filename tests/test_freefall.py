@@ -14,13 +14,15 @@ import scipy.special as sps
 
 from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
 from qfall.errors import ConfigError, DomainError
-from qfall.freefall import (_RATE_ROWS, GridSpec, MapMaker, _build_mode_grid,
-                            _node_rates, annihilation_current,
+import qfall.freefall as freefall
+from qfall.freefall import (_RATE_ROWS, _SLAB_ROWS, GridSpec, MapMaker,
+                            _build_mode_grid, _node_rates,
+                            annihilation_current,
                             current_map_yt, fall_windows, grid_axes,
                             plane_current, propagate_profile,
                             propagator_kernel)
 from qfall.gqs import build_basis, overlap_matrix
-from qfall.kernels import simpson_weights
+from qfall.kernels import _CHUNK_ROWS, simpson_weights
 from qfall.mirror import DiskGeometry, evolve_to_end_of_disk
 from qfall.physcore import CONSTANTS, G_DEFAULT
 from qfall.source import build_photodetach, build_trap, polar_nodes
@@ -102,6 +104,19 @@ def _per_edge_time_assembly(maker, g):
 
 def _close(got, want, rel):
     return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _counted_kernel(monkeypatch):
+    """List that gets the lattice size K of every chirp-kernel call."""
+    calls = []
+    kernel = freefall.mode_chirp_sums
+
+    def counted(chi_w, z, idx_cut, alpha, *rest):
+        calls.append(alpha.shape[0])
+        return kernel(chi_w, z, idx_cut, alpha, *rest)
+
+    monkeypatch.setattr(freefall, "mode_chirp_sums", counted)
+    return calls
 
 
 class TestPropagator:
@@ -363,6 +378,28 @@ class TestFoldedMap:
             else:
                 assert _close(fm.concentration, concentration, 1e-14)
 
+    def test_slabbed_map_equals_whole_lattice(self, monkeypatch, trap,
+                                             recoil):
+        # the desk lattice has more tau values than a slab, so a build
+        # forms its sums in two slabs; with one slab over the whole tau
+        # lattice every map must come out bitwise the same
+        kick = build_photodetach(0.0, kick_velocity=0.9)
+        for pd in (recoil, kick):
+            maker = MapMaker(N_DESK, trap, pd, GEO)
+            M = maker.axes.n_tau
+            assert _SLAB_ROWS < M < 2 * _SLAB_ROWS
+            calls = _counted_kernel(monkeypatch)
+            fm = maker.build(G_DEFAULT)
+            assert calls == [_SLAB_ROWS, M - _SLAB_ROWS]
+            monkeypatch.setattr(freefall, "_SLAB_ROWS", M)
+            whole = maker.build(G_DEFAULT)
+            monkeypatch.undo()
+            assert np.array_equal(fm.density, whole.density)
+            if pd.dipolar:
+                assert np.array_equal(fm.azimuth_ratio, whole.azimuth_ratio)
+            else:
+                assert np.array_equal(fm.concentration, whole.concentration)
+
     def test_tilted_polarization_rejected(self, basis, trap):
         # the folded map and the detector cut share one tilt check, so a
         # barely tilted polarization fails on both paths
@@ -414,6 +451,56 @@ class TestDetectorCut:
         finally:
             tracemalloc.stop()
         assert peak < F.nbytes
+
+    @pytest.mark.parametrize("K", [1, _SLAB_ROWS - 1, _SLAB_ROWS,
+                                   _SLAB_ROWS + 1])
+    def test_slabbed_cut_equals_whole_lattice(self, monkeypatch, basis, trap,
+                                              recoil, K):
+        # the slab is a whole number of kernel chunks and of rate blocks,
+        # so each product sees the rows it sees in one whole-lattice pass
+        assert _SLAB_ROWS % _CHUNK_ROWS == 0 and _SLAB_ROWS % _RATE_ROWS == 0
+        y = [0.3]
+        T = np.linspace(0.29, 0.30, K)
+        calls = _counted_kernel(monkeypatch)
+        dm = current_map_yt(basis, trap, recoil, GEO, y, T)
+        assert calls == [min(_SLAB_ROWS, K - k0)
+                         for k0 in range(0, K, _SLAB_ROWS)]
+        monkeypatch.setattr(freefall, "_SLAB_ROWS", K)
+        whole = current_map_yt(basis, trap, recoil, GEO, y, T)
+        assert np.array_equal(dm.density, whole.density)
+
+    def test_cut_holds_no_whole_lattice_sums(self, trap, recoil):
+        # 6400 fall times at 300 modes: F and G would take 61 MB, against
+        # a 2 MB kernel buffer on this coarse z grid; the cut forms them a
+        # slab at a time, so its traced peak stays under half of one
+        basis = build_basis(300)
+        y = np.linspace(0.282, 0.322, 80)
+        T = np.linspace(0.286, 0.306, 80)
+        tracemalloc.start()
+        try:
+            current_map_yt(basis, trap, recoil, GEO, y, T,
+                           GridSpec(z_samples=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (y.size * T.size) * basis.n_max * 16
+
+    def test_negative_y_mirrors_positive_y(self, basis, trap, recoil):
+        # the cut at -y sees the radius |y| and the detector azimuth -pi/2:
+        # the dipole law is even under it, and a kick at -y meets what the
+        # opposite kick meets at +y (on the ridge and far from it)
+        y = np.linspace(0.27, 0.30, 4)
+        T = np.linspace(0.29, 0.30, 5)
+        plus = current_map_yt(basis, trap, recoil, GEO, y, T)
+        minus = current_map_yt(basis, trap, recoil, GEO, -y, T)
+        assert np.array_equal(minus.density, plus.density)
+        up, down = (build_photodetach(0.0, (0.0, s, 0.0), kick_velocity=0.9)
+                    for s in (1.0, -1.0))
+        for kick, mirrored in ((up, down), (down, up)):
+            minus = current_map_yt(basis, trap, kick, GEO, -y, T)
+            plus = current_map_yt(basis, trap, mirrored, GEO, y, T)
+            assert plus.density.max() > 0.0
+            assert _close(minus.density, plus.density, 1e-12)
 
     def test_matches_brute_force(self, basis, trap, recoil):
         y = np.linspace(0.27, 0.34, 15)
