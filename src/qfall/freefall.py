@@ -29,8 +29,10 @@ overlaps in one helper: on the cut and the spot every row has its own edge
 time, so its mode phases are applied to F and G a block of rows at a time;
 on the folded map an edge time holds for every row, so the overlaps of a
 block of edge times are phased and multiplied with F and G in one product.
-The spot value takes its kick directions and dipole weights from
-`source.recoil_quadrature`.
+The folded map and the cut share their landing weights (`_ring_weights`;
+the cut is the folded azimuth law at the detector azimuth) and one
+`_clip`.  The spot value keeps explicit Gaussians, with kick directions and
+dipole weights from `source.recoil_quadrature`.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ from .errors import ConfigError, DomainError
 from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
 from .kernels import mode_chirp_sums, simpson_weights
-from .mirror import (DiskGeometry, evolve_to_end_of_disk, mode_phases,
-                     time_above_mirror)
+from .mirror import DiskGeometry, mode_phases, time_above_mirror
 from .physcore import CONSTANTS, G_DEFAULT, GravScales
 from .source import (DEFAULT_AZIMUTH_NODES, DEFAULT_POLAR_NODES,
-                     PhotodetachConfig, TrapConfig, polar_nodes,
+                     PhotodetachConfig, PolarNodes, TrapConfig, polar_nodes,
                      recoil_quadrature)
 
 
@@ -309,7 +310,7 @@ def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
             # freed before the next block's phases are allocated
             del phases, SF
         return rates
-    ctil = evolve_to_end_of_disk(basis, coeff, t[:, None, None])
+    ctil = coeff * mode_phases(basis, t[:, None, None])
     ctil = ctil.reshape(-1, coeff.shape[1])
     SF = ctil @ F.T
     rates = _product_rate(SF, ctil @ G.T, scale)
@@ -325,6 +326,30 @@ def _product_rate(SF: np.ndarray, SG: np.ndarray, scale) -> np.ndarray:
     rate += SF.imag
     rate *= scale
     return rate
+
+
+def _ring_weights(nodes: PolarNodes, trap: TrapConfig,
+                  photodetach: PhotodetachConfig, geometry: DiskGeometry, t):
+    """(w_A, w_C, kappa) at edge times t (K,), each (K, n_u): the trap
+    Gaussian `gauss` of pbar = m d / t about qbar = q sqrt(1 - u^2), folded
+    to w_A = w_even gauss ive(0, kappa), w_C = w_cos2 gauss ive(2, kappa)."""
+    dp = trap.momentum_spread
+    qbar = photodetach.recoil_momentum * np.sqrt(
+        np.maximum(0.0, 1.0 - nodes.u ** 2))
+    pbar = CONSTANTS.atom_mass * geometry.travel_distance / t
+    kappa = np.outer(pbar, qbar) / (dp * dp)
+    gauss = np.exp(-(pbar[:, None] - qbar) ** 2 / (2.0 * dp * dp))
+    return (nodes.w_even * gauss * sps.ive(0, kappa),
+            nodes.w_cos2 * gauss * sps.ive(2, kappa), kappa)
+
+
+def _clip(density: np.ndarray) -> float:
+    """Zero the negative cells of `density` in place and return their
+    mass relative to the mass kept."""
+    neg = density[density < 0.0].sum()
+    pos = density[density > 0.0].sum()
+    np.maximum(density, 0.0, out=density)
+    return float(abs(neg) / max(pos, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +455,8 @@ class MapMaker:
         t = axes.t
         M = axes.n_tau
         dp = self.trap.momentum_spread
-        qbar = pd.recoil_momentum * np.sqrt(
-            np.maximum(0.0, 1.0 - nodes.u ** 2))
         d = geom.travel_distance
-        pbar = m * d / t
-        kappa = np.outer(pbar, qbar) / (dp * dp)
-        gauss = np.exp(-(pbar[:, None] - qbar) ** 2 / (2.0 * dp * dp))
-        w_A = nodes.w_even * gauss * sps.ive(0, kappa)      # (n_t, n_u)
+        w_A, w_C, kappa = _ring_weights(nodes, self.trap, pd, geom, t)
 
         density = np.zeros((t.shape[0], axes.T.shape[0]))
         # row i of a band is the cells (i, i stride + k), k < M, of the
@@ -445,15 +465,12 @@ class MapMaker:
         T_band = _lattice_band(np.broadcast_to(axes.T, density.shape),
                                axes.stride, M)
         if pd.dipolar:
-            w_C = nodes.w_cos2 * gauss * sps.ive(2, kappa)
             ratio = np.zeros(density.shape)
             ratio_band = _lattice_band(ratio, axes.stride, M)
             concentration = None
         else:
             ratio = None
             concentration = kappa[:, 0].copy()
-        neg_mass = 0.0
-        pos_mass = 0.0
         # edge times per block: at most _RATE_ROWS evolved overlap rows
         step = max(1, _RATE_ROWS // nodes.u.shape[0])
         for k0 in range(0, M, _SLAB_ROWS):
@@ -470,16 +487,12 @@ class MapMaker:
                             A > 0.0, C / np.maximum(A, 1e-300), 0.0),
                             0.0, 1.0)
                 Tj = T_band[rows, ks]
-                P = (d * d * Tj * Tj / t[rows, None] ** 3) \
+                band[rows, ks] = (d * d * Tj * Tj / t[rows, None] ** 3) \
                     * (m * m / tau[ks] ** 2) / (dp * dp) * A
-                neg_mass += -P[P < 0.0].sum()
-                pos_mass += P[P > 0.0].sum()
-                band[rows, ks] = np.maximum(P, 0.0)
             # freed before the next slab's sums are formed
             del F, G
 
-        meta = {"fraction": fraction,
-                "clipped_mass": float(neg_mass / max(pos_mass, 1e-300)),
+        meta = {"fraction": fraction, "clipped_mass": _clip(density),
                 "n_z": int(self.mode_grid.xi.shape[0]), "n_tau": int(M),
                 "tau_lo": float(tau[0]), "tau_hi": float(tau[-1]),
                 "g0": self.g0, "n_max": basis.n_max}
@@ -529,34 +542,25 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
         rate[sl] = _node_rates(basis, coeff, t[sl, None], F, G, tau[sl])
         del F, G
 
-    dp = trap.momentum_spread
-    qbar = photodetach.recoil_momentum * np.sqrt(
-        np.maximum(0.0, 1.0 - nodes.u ** 2))
-    pbar = m * geometry.travel_distance / t
-    kap = np.outer(pbar, qbar) / (dp * dp)
-    gauss = np.exp(-(pbar[:, None] - qbar[None, :]) ** 2 / (2.0 * dp * dp))
+    w_A, w_C, kappa = _ring_weights(nodes, trap, photodetach, geometry, t)
     # at X = 0 the detector azimuth is sign(y) pi/2
     if photodetach.dipolar:
-        # only harmonics 0 and 2 of the kick azimuth survive the dipole
-        # marginal, so the ring fold closes exactly; cos 2 phi is the same
-        # at +pi/2 and -pi/2
+        # the dipole keeps harmonics 0 and 2 of the kick azimuth, so the
+        # fold is exact; cos 2 phi is the same at +pi/2 and -pi/2
         cos2phi = math.cos(2.0 * (0.5 * math.pi - nodes.pol_angle))
-        wmix = (nodes.w_even * sps.ive(0, kap)
-                + cos2phi * nodes.w_cos2 * sps.ive(2, kap))
+        weight = w_A + cos2phi * w_C
     else:
-        # single kick direction: evaluate the Gaussian ridge at the
-        # detector azimuth directly
+        # one kick direction: the folded map's von Mises law at this azimuth
         ridge = np.where(y < 0.0, math.cos(-0.5 * math.pi - nodes.pol_angle),
                          math.cos(0.5 * math.pi - nodes.pol_angle)) - 1.0
-        wmix = np.exp(kap * np.repeat(ridge, T.shape[0])[:, None])
-    density = ((gauss * wmix * rate).sum(axis=1)
+        weight = w_A * np.exp(kappa * np.repeat(ridge, T.shape[0])[:, None]) \
+            / sps.ive(0, kappa)
+    dp = trap.momentum_spread
+    density = ((weight * rate).sum(axis=1)
                * (m * m / tau ** 2) / (2.0 * math.pi * dp * dp)
                ).reshape(tmat.shape)
-    neg = -density[density < 0.0].sum()
-    pos = density[density > 0.0].sum()
-    meta = {"clipped_mass": float(neg / max(pos, 1e-300)),
-            "n_z": int(grid.xi.shape[0])}
-    return DetectorMap(density=np.maximum(density, 0.0), metadata=meta)
+    meta = {"clipped_mass": _clip(density), "n_z": int(grid.xi.shape[0])}
+    return DetectorMap(density=density, metadata=meta)
 
 
 def annihilation_current(basis: GQSBasis, trap: TrapConfig,

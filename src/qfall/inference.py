@@ -21,7 +21,7 @@ score d log m / dg is the interpolant's derivative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -148,10 +148,10 @@ def sample_events(fmap: FoldedMap, n_source: int,
                   rng: np.random.Generator) -> EventSet:
     """Draw one experiment: Binomial detected count, then (t, T, Phi).
 
-    The detection probability is the transmitted fraction carried by the
-    map; the grid windows hold essentially all of the transmitted flux, so
-    conditioning on detection and conditioning on the window coincide to the
-    window truncation error.
+    The detection probability p is the transmitted fraction carried in the
+    map's metadata, and each detected (t, T) is drawn from the map
+    normalized over its window.  The window mass is not p: under the map's
+    m^2 / tau^2 weight it is about 1.44 p at desk scale.
     """
     if n_source < 0:
         raise DomainError("source count must be nonnegative")
@@ -556,16 +556,11 @@ class CampaignResult:
     node_tail: float
 
     def summary(self) -> dict:
-        return {
-            "g_true": self.g_true, "n_source": self.n_source,
-            "n_replicates": self.n_replicates, "seed": self.seed,
-            "g_mean": self.g_mean, "bias": self.bias,
-            "sigma_mc": self.sigma_mc, "sigma_mc_se": self.sigma_mc_se,
-            "sigma_cr": self.sigma_cr, "sigma_ratio": self.sigma_ratio,
-            "edge_hits": self.edge_hits,
-            "mean_detected": float(self.n_detected.mean()),
-            "map_builds": self.map_builds, "node_tail": self.node_tail,
-        }
+        """The scalar fields and the mean detected count."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if not isinstance(getattr(self, f.name), np.ndarray)}
+        out["mean_detected"] = float(self.n_detected.mean())
+        return out
 
 
 def run_campaign(family: GridDensityFamily, n_source: int,

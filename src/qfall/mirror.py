@@ -67,13 +67,3 @@ def mode_phases(basis: GQSBasis, t) -> np.ndarray:
     np.negative(out.imag, out=out.imag)
     return out
 
-
-def evolve_to_end_of_disk(basis: GQSBasis, coefficients: np.ndarray,
-                          t) -> np.ndarray:
-    """Apply the mode phases accumulated during a time t above the mirror.
-
-    The phase exp(-i lambda_n t / t_g) runs along the last axis of
-    `coefficients`; an array t broadcasts against it (a column of times
-    phases one row each).
-    """
-    return coefficients * mode_phases(basis, t)

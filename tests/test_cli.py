@@ -191,6 +191,24 @@ class TestCurrentMap:
             data = json.load(fh)
         assert data["peak_y_m"] < 0.0 and data["peak_density_per_m2s"] > 0
 
+    def test_unclipped_maps_report_positive_zero(self, tmp_path, desk_cfg,
+                                                 monkeypatch):
+        # neither map clips a cell here, so each clipped mass is +0.0, not
+        # the -0.0 of a negated empty sum
+        maps = []
+        build = MapMaker.build
+        monkeypatch.setattr(MapMaker, "build",
+                            lambda self, g: maps.append(build(self, g))
+                            or maps[-1])
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out,
+                     "--ny", "3", "--nT", "3", "--folded"]) == 0
+        with open(tmp_path / "current_map.json") as fh:
+            clipped = json.load(fh)["clipped_mass"]
+        (fm,) = maps
+        for value in (clipped, fm.metadata["clipped_mass"]):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_folded_export(self, tmp_path, desk_cfg):
         out = str(tmp_path)
         assert main(["current-map", "--config", desk_cfg, "--out", out,

@@ -23,7 +23,7 @@ from qfall.freefall import (_RATE_ROWS, _SLAB_ROWS, GridSpec, MapMaker,
                             propagator_kernel)
 from qfall.gqs import build_basis, overlap_matrix
 from qfall.kernels import _CHUNK_ROWS, simpson_weights
-from qfall.mirror import DiskGeometry, evolve_to_end_of_disk
+from qfall.mirror import DiskGeometry, mode_phases
 from qfall.physcore import CONSTANTS, G_DEFAULT
 from qfall.source import build_photodetach, build_trap, polar_nodes
 
@@ -81,7 +81,7 @@ def _per_edge_time_assembly(maker, g):
     ratio = np.zeros(density.shape)
     concentration = np.zeros(axes.t.shape[0])
     for i, ti in enumerate(axes.t):
-        ctil = evolve_to_end_of_disk(basis, coeff, ti)
+        ctil = coeff * mode_phases(basis, ti)
         SF, SG = ctil @ F.T, ctil @ G.T
         rate = -(m / (2.0 * math.pi * hbar)) * (1.0 / tau) \
             * np.real(np.conj(SF) * SG)
@@ -520,6 +520,33 @@ class TestDetectorCut:
             brute = annihilation_current(basis, trap, kick, GEO, 0.0,
                                          y[iy], T[iT])
             assert dm.density[iy, iT] == pytest.approx(brute, rel=1e-4)
+
+    def test_cut_is_the_folded_law_at_x_zero(self, basis, trap, recoil):
+        # at (0, y) with y = d T / t the cut must give the folded density
+        # per unit area, density t^3 / (d^2 T^2), times the folded map's
+        # azimuth law at phi = pi/2; each path builds its own mode grid,
+        # and the two differ in the z quadrature
+        d = GEO.travel_distance
+        kick = build_photodetach(0.0, kick_velocity=0.9)
+        for pd in (recoil, kick):
+            fm = MapMaker(N_DESK, trap, pd, GEO).build(G_DEFAULT)
+            D = fm.density
+            big = np.flatnonzero(D.ravel() >= 0.2 * D.max())
+            # the detector azimuth pi/2 from the polarization azimuth
+            delta = 0.5 * math.pi - fm.pol_angle
+            for k in np.linspace(0, big.size - 1, 4).astype(int):
+                i, j = np.unravel_index(big[k], D.shape)
+                t, T = fm.t[i], fm.T[j]
+                if pd.dipolar:
+                    law = 1.0 + fm.azimuth_ratio[i, j] * math.cos(2.0 * delta)
+                else:
+                    kappa = fm.concentration[i]
+                    law = math.exp(kappa * (math.cos(delta) - 1.0)) \
+                        / sps.ive(0, kappa)
+                want = D[i, j] * t ** 3 / (d * d * T * T) \
+                    * law / (2.0 * math.pi)
+                cut = current_map_yt(basis, trap, pd, GEO, [d * T / t], [T])
+                assert cut.density[0, 0] == pytest.approx(want, rel=2e-5)
 
     def test_starts_no_thread(self, monkeypatch, basis, trap, recoil):
         # set-up and the detector cut run in the calling thread; a pool
