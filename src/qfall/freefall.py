@@ -13,9 +13,10 @@ computed by the kernels module.  With the atom landing at radial distance
 rbar after total time T, the time above the disk is t = T d / rbar and the
 fall takes tau = T - t; on a lattice where the t step is an integer multiple
 of the T step, every cell's tau lands on one shared tau lattice and the
-chirp sums are computed once per tau value.  Both lattice paths form the
-sums a slab of `_SLAB_ROWS` lattice times at a time and contract each slab
-before the next is formed, so F and G are never held for the whole lattice.
+chirp sums are computed once per tau value.  The folded map forms the sums
+a slab of `_SLAB_ROWS` lattice times at a time, the cut and the spot value
+`_RATE_ROWS` cells at a time, and each block is contracted before the next
+is formed, so F and G are never held for the whole lattice.
 
 The detector-plane observables come in three forms: `MapMaker.build` (the
 azimuth-integrated (t, T) density used for estimation, with the kick azimuth
@@ -24,11 +25,11 @@ unfolded density on a (Y, T) cut through the detector plane), and
 `annihilation_current` (a brute-force spot value summing explicit kick
 directions, kept as an independent cross-check of the folded assembly).
 All three take their recoil nodes from `source.polar_nodes` and their mode
-sums from `ModeGrid.fall_sums`, and contract the sums with the recoil-node
-overlaps in one helper: on the cut and the spot every row has its own edge
-time, so its mode phases are applied to F and G a block of rows at a time;
-on the folded map an edge time holds for every row, so the overlaps of a
-block of edge times are phased and multiplied with F and G in one product.
+sums from `ModeGrid.fall_sums`.  On the cut and the spot every cell has its
+own edge time, so `_cell_rates` applies each cell's mode phases to its F
+and G; on the folded map an edge time holds for every row, so
+`_edge_rates` phases the overlaps of a block of edge times and multiplies
+them with F and G in one product.
 The folded map and the cut share their landing weights (`_ring_weights`;
 the cut is the folded azimuth law at the detector azimuth) and one
 `_clip`.  The spot value keeps explicit Gaussians, with kick directions and
@@ -274,57 +275,57 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     return ModeGrid(xi=xi, chi=chi, idx_cut=idx_cut)
 
 
-#: rows per product of the node-rate contraction: rows of F and G on the
-#: per-row path, evolved overlaps of a block of edge times on the shared one
+#: cells per block of the cut's and the spot value's mode sums, and rows
+#: of evolved overlaps per edge-time block of the folded map
 _RATE_ROWS = 128
-#: lattice times whose mode sums are formed and contracted at a time; a
-#: multiple of the kernel's chunk and of `_RATE_ROWS`, so that every
-#: product sees the rows it would see on the whole lattice
+#: lattice times whose mode sums the folded map forms and contracts at a
+#: time; like `_RATE_ROWS` a multiple of the kernel's chunk, so that every
+#: chunk sees the rows it would see on the whole lattice
 _SLAB_ROWS = 512
 
 
-def _node_rates(basis: GQSBasis, coeff: np.ndarray, t, F: np.ndarray,
-                G: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF) SG).
+def _cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
+                geometry: DiskGeometry, t, tau) -> np.ndarray:
+    """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF) SG),
+    (K, n_u), of K cells each with its own edge time t and fall time tau.
 
     SF = sum_n c~_n F_n with c~ the overlaps `coeff` (n_u, N) evolved over
-    the edge time t, for the K rows of F and G: on the map paths one slab
-    of at most `_SLAB_ROWS` lattice times.  A column t (K, 1) holds one
-    edge time per row and gives (K, n_u): each row's mode phases are taken
-    once and applied to F and G, `_RATE_ROWS` rows at a time, so no (K, N)
-    temporary is formed.  A flat t (E,) holds edge times shared by every
-    row and gives (E, n_u, K): the E evolved overlap sets are stacked into
-    one product with F and one with G.
+    t.  F and G are formed `_RATE_ROWS` cells at a time and phased in place,
+    so no (K, N) array is held.
     """
-    t = np.asarray(t, dtype=float)
-    scale = -(CONSTANTS.atom_mass / (2.0 * math.pi * CONSTANTS.hbar)) \
-        * (1.0 / tau)
-    if t.ndim == 2:
-        rates = np.empty((t.shape[0], coeff.shape[0]))
-        for k0 in range(0, t.shape[0], _RATE_ROWS):
-            sl = slice(k0, k0 + _RATE_ROWS)
-            phases = mode_phases(basis, t[sl])
-            SF = (F[sl] * phases) @ coeff.T
-            phases *= G[sl]
-            rates[sl] = _product_rate(SF, phases @ coeff.T, scale[sl, None])
-            # freed before the next block's phases are allocated
-            del phases, SF
-        return rates
+    rates = np.empty((t.shape[0], coeff.shape[0]))
+    for k0 in range(0, t.shape[0], _RATE_ROWS):
+        sl = slice(k0, k0 + _RATE_ROWS)
+        F, G = grid.fall_sums(basis.scales, geometry, tau[sl])
+        phases = mode_phases(basis, t[sl, None])
+        np.multiply(F, phases, out=F)
+        np.multiply(phases, G, out=G)
+        rates[sl] = _product_rate(F @ coeff.T, G @ coeff.T, tau[sl, None])
+        # freed before the next block's sums are formed
+        del F, G, phases
+    return rates
+
+
+def _edge_rates(basis: GQSBasis, coeff: np.ndarray, t: np.ndarray,
+                F: np.ndarray, G: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Detection rate per recoil node, (E, n_u, K), of the K fall times of
+    F and G at E edge times t shared by every row: the E evolved overlap
+    sets are stacked into one product with F and one with G."""
     ctil = coeff * mode_phases(basis, t[:, None, None])
     ctil = ctil.reshape(-1, coeff.shape[1])
-    SF = ctil @ F.T
-    rates = _product_rate(SF, ctil @ G.T, scale)
+    rates = _product_rate(ctil @ F.T, ctil @ G.T, tau)
     return rates.reshape(t.shape[0], coeff.shape[0], -1)
 
 
-def _product_rate(SF: np.ndarray, SG: np.ndarray, scale) -> np.ndarray:
-    """scale Re(conj(SF) SG), formed in SF's memory: the result is a view
-    of SF, and no array of SF's size is allocated."""
+def _product_rate(SF: np.ndarray, SG: np.ndarray, tau) -> np.ndarray:
+    """-(m / 2 pi hbar tau) Re(conj(SF) SG), formed in SF's memory: the
+    result is a view of SF, and no array of SF's size is allocated."""
     rate = SF.real
     rate *= SG.real
     np.multiply(SF.imag, SG.imag, out=SF.imag)
     rate += SF.imag
-    rate *= scale
+    rate *= -(CONSTANTS.atom_mass / (2.0 * math.pi * CONSTANTS.hbar)) \
+        * (1.0 / tau)
     return rate
 
 
@@ -381,16 +382,15 @@ class FoldedMap:
     The landing momentum enters with the weight m^2 / tau^2 of the printed
     formula; the flux-exact weight m^2 / T^2 gives this density times
     (tau / T)^2, cell by cell.
-    `azimuth_model` tells how the detector azimuth is distributed at fixed
-    (t, T): 'dipole' uses density ~ 1 + ratio cos 2(phi - pol_angle), the
-    deterministic kick uses a von Mises law with per-t `concentration`.
+    At fixed (t, T) the detector azimuth follows the dipole law
+    1 + azimuth_ratio cos 2(phi - pol_angle) or, when `concentration` is
+    set, the deterministic kick's von Mises law with that per-t value.
     """
 
     g: float
     t: np.ndarray
     T: np.ndarray
     density: np.ndarray
-    azimuth_model: str
     pol_angle: float
     azimuth_ratio: np.ndarray | None
     concentration: np.ndarray | None
@@ -478,7 +478,7 @@ class MapMaker:
             F, G = self.mode_grid.fall_sums(basis.scales, geom, tau[ks])
             for i0 in range(0, t.shape[0], step):
                 rows = slice(i0, i0 + step)
-                rate = _node_rates(basis, coeff, t[rows], F, G, tau[ks])
+                rate = _edge_rates(basis, coeff, t[rows], F, G, tau[ks])
                 A = np.matmul(w_A[rows, None, :], rate)[:, 0]  # (rows, ks)
                 if pd.dipolar:
                     C = np.matmul(w_C[rows, None, :], rate)[:, 0]
@@ -497,9 +497,8 @@ class MapMaker:
                 "tau_lo": float(tau[0]), "tau_hi": float(tau[-1]),
                 "g0": self.g0, "n_max": basis.n_max}
         return FoldedMap(g=g, t=axes.t.copy(), T=axes.T.copy(),
-                         density=density, azimuth_model=(
-                             "dipole" if pd.dipolar else "vonmises"),
-                         pol_angle=nodes.pol_angle, azimuth_ratio=ratio,
+                         density=density, pol_angle=nodes.pol_angle,
+                         azimuth_ratio=ratio,
                          concentration=concentration, metadata=meta)
 
 
@@ -535,12 +534,7 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
                             (float(taumat.min()), float(taumat.max())), spec)
     tau = taumat.ravel()
     t = tmat.ravel()
-    rate = np.empty((tau.shape[0], nodes.u.shape[0]))
-    for k0 in range(0, tau.shape[0], _SLAB_ROWS):
-        sl = slice(k0, k0 + _SLAB_ROWS)
-        F, G = grid.fall_sums(basis.scales, geometry, tau[sl])
-        rate[sl] = _node_rates(basis, coeff, t[sl, None], F, G, tau[sl])
-        del F, G
+    rate = _cell_rates(basis, coeff, grid, geometry, t, tau)
 
     w_A, w_C, kappa = _ring_weights(nodes, trap, photodetach, geometry, t)
     # at X = 0 the detector azimuth is sign(y) pi/2
@@ -574,16 +568,15 @@ def annihilation_current(basis: GQSBasis, trap: TrapConfig,
     no azimuth folding, no shared lattice and no clipping: the independent
     cross-check for the assembled maps.
     """
-    t = time_above_mirror(geometry, math.hypot(x, y), T)
-    tau = np.asarray([T - t])
+    t = np.asarray([time_above_mirror(geometry, math.hypot(x, y), T)])
+    tau = T - t
     m = CONSTANTS.atom_mass
     u = polar_nodes(photodetach, spec.n_polar).u
     quad = recoil_quadrature(photodetach, spec.n_polar, n_azimuth)
     coeff = overlap_matrix(basis, geometry.release_height, trap.width,
                            photodetach.recoil_momentum * u)
     grid = _build_mode_grid(basis, geometry, (tau[0], tau[0]), spec)
-    F, G = grid.fall_sums(basis.scales, geometry, tau)
-    rate_u = _node_rates(basis, coeff, [[t]], F, G, tau)[0]
+    rate_u = _cell_rates(basis, coeff, grid, geometry, t, tau)[0]
 
     dp = trap.momentum_spread
     pvec = m * np.asarray([x, y]) / T

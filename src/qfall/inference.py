@@ -127,7 +127,7 @@ def _sample_azimuth(fmap: FoldedMap, t: np.ndarray, i: np.ndarray,
                     j: np.ndarray, x: np.ndarray, y: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     mu = fmap.pol_angle
-    if fmap.azimuth_model == "vonmises":
+    if fmap.concentration is not None:
         kappa = np.interp(t, fmap.t, fmap.concentration)
         return np.mod(mu + rng.vonmises(0.0, kappa), 2.0 * math.pi)
     # dipole: density (1 + r cos 2(Phi - mu)) / 2 pi, rejection under the
@@ -174,10 +174,8 @@ def sample_events(fmap: FoldedMap, n_source: int,
     d = D[i, j + 1] + (D[i + 1, j + 1] - D[i, j + 1]) * x
     y = _invert_linear(c, d, rng.random(n_det))
 
-    dt = fmap.t[1] - fmap.t[0] if fmap.t.shape[0] > 1 else 0.0
-    dT = fmap.T[1] - fmap.T[0] if fmap.T.shape[0] > 1 else 0.0
-    t = fmap.t[i] + x * dt
-    T = fmap.T[j] + y * dT
+    t = fmap.t[i] + x * (fmap.t[1] - fmap.t[0])
+    T = fmap.T[j] + y * (fmap.T[1] - fmap.T[0])
     phi = _sample_azimuth(fmap, t, i, j, x, y, rng)
     return EventSet(edge_time=t, arrival_time=T, azimuth=phi,
                     n_source=n_source, g_true=fmap.g)

@@ -416,6 +416,32 @@ class TestFailureAndPrecedence:
         assert "n_max" in man["error"]
         assert man["outputs"] == []
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("scales", "source.detachment_energy = -1 ueV",
+         "recoil settings must be nonnegative"),
+        ("scales", "physics.g = abc m/s2", "cannot read number 'abc'"),
+        ("basis", "physics.n_max = 200000", "n_max unreasonably large"),
+    ], ids=["negative_recoil", "unreadable_g", "huge_n_max"])
+    def test_bad_setting_refused(self, tmp_path, command, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        out = str(tmp_path)
+        assert main([command, "--config", str(bad), "--out", out]) == 1
+        man = _manifest(out, command)
+        assert man["status"] == "error"
+        assert message in man["error"]
+
+    def test_event_file_without_source_count_refused(self, tmp_path,
+                                                     desk_cfg):
+        path = tmp_path / "events.csv"
+        path.write_text("# qfall 0.1.0\nt_s,T_s,phi_rad\n0.05,0.3,1.0\n")
+        out = str(tmp_path / "out")
+        assert main(["estimate", "--config", desk_cfg, "--out", out,
+                     "--events", str(path)]) == 1
+        man = _manifest(out, "estimate")
+        assert man["status"] == "error"
+        assert "%s is not an event file" % path in man["error"]
+
     def test_seed_precedence(self, tmp_path, desk_cfg, monkeypatch):
         out = str(tmp_path)
         monkeypatch.setenv("QFALL_SEED", "7")

@@ -16,8 +16,8 @@ from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
 from qfall.errors import ConfigError, DomainError
 import qfall.freefall as freefall
 from qfall.freefall import (_RATE_ROWS, _SLAB_ROWS, GridSpec, MapMaker,
-                            _build_mode_grid, _node_rates,
-                            annihilation_current,
+                            _build_mode_grid, _cell_rates, _edge_rates,
+                            _product_rate, annihilation_current,
                             current_map_yt, fall_windows, grid_axes,
                             plane_current, propagate_profile,
                             propagator_kernel)
@@ -104,6 +104,20 @@ def _per_edge_time_assembly(maker, g):
 
 def _close(got, want, rel):
     return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _whole_lattice_cell_rates(basis, coeff, grid, geometry, t, tau):
+    """`_cell_rates` from mode sums formed once for the whole lattice and
+    contracted in the same blocks of `_RATE_ROWS` cells: the reference for
+    the blocked cut."""
+    F, G = grid.fall_sums(basis.scales, geometry, tau)
+    rates = np.empty((t.shape[0], coeff.shape[0]))
+    for k0 in range(0, t.shape[0], _RATE_ROWS):
+        sl = slice(k0, k0 + _RATE_ROWS)
+        phases = mode_phases(basis, t[sl, None])
+        rates[sl] = _product_rate((F[sl] * phases) @ coeff.T,
+                                  (phases * G[sl]) @ coeff.T, tau[sl, None])
+    return rates
 
 
 def _counted_kernel(monkeypatch):
@@ -338,7 +352,7 @@ class TestFoldedMap:
                                   abs=0.004)
 
     def test_azimuth_ratio_bounded(self, desk_map):
-        assert desk_map.azimuth_model == "dipole"
+        assert desk_map.concentration is None
         assert desk_map.azimuth_ratio.min() >= 0.0
         assert desk_map.azimuth_ratio.max() <= 1.0
         assert desk_map.pol_angle == pytest.approx(0.5 * math.pi)
@@ -356,7 +370,7 @@ class TestFoldedMap:
     def test_deterministic_kick_variant(self, trap):
         kick = build_photodetach(0.0, kick_velocity=0.9)
         fm = MapMaker(N_DESK, trap, kick, GEO).build(G_DEFAULT)
-        assert fm.azimuth_model == "vonmises"
+        assert fm.azimuth_ratio is None
         assert fm.concentration.min() > 0.0
         assert _flux_exact_weight(fm) == pytest.approx(fm.metadata["fraction"],
                                                        rel=1e-3)
@@ -413,8 +427,8 @@ class TestFoldedMap:
 
 class TestDetectorCut:
     def test_rate_contraction_orders_agree(self, basis, trap, recoil):
-        # one edge time per row must give what one shared edge time gives,
-        # for row counts on both sides of a block boundary
+        # one edge time per cell must give what one shared edge time gives,
+        # for cell counts on both sides of a block boundary
         nodes = polar_nodes(recoil)
         coeff = overlap_matrix(basis, GEO.release_height, trap.width,
                                recoil.recoil_momentum * nodes.u)
@@ -424,49 +438,54 @@ class TestDetectorCut:
             grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]),
                                     GridSpec())
             F, G = grid.fall_sums(basis.scales, GEO, tau)
-            shared = _node_rates(basis, coeff, [t], F, G, tau)
-            per_row = _node_rates(basis, coeff, np.full((K, 1), t), F, G,
-                                  tau)
+            shared = _edge_rates(basis, coeff, np.asarray([t]), F, G, tau)
+            per_cell = _cell_rates(basis, coeff, grid, GEO, np.full(K, t),
+                                   tau)
             assert shared.shape == (1, nodes.u.shape[0], K)
-            assert per_row.shape == (K, nodes.u.shape[0])
-            assert np.abs(per_row.T - shared[0]).max() \
+            assert per_cell.shape == (K, nodes.u.shape[0])
+            assert np.abs(per_cell.T - shared[0]).max() \
                 < 1e-13 * np.abs(shared).max()
 
-    def test_per_row_rates_stay_below_the_size_of_F(self, basis, trap,
-                                                    recoil):
-        # the per-row step phases and contracts a block of rows at a time,
-        # so on 4 blocks its traced peak is below one (K, N) array
+    def test_per_row_rates_stay_below_the_size_of_F(self, trap, recoil):
+        # the per-cell step forms, phases and contracts the sums a block of
+        # cells at a time, so on 16 blocks its traced peak is below one
+        # (K, N) array; whole-lattice F and G would take two
+        basis = build_basis(300)
         nodes = polar_nodes(recoil)
         coeff = overlap_matrix(basis, GEO.release_height, trap.width,
                                recoil.recoil_momentum * nodes.u)
-        K = 4 * _RATE_ROWS
+        K = 16 * _RATE_ROWS
         tau = np.linspace(0.24, 0.25, K)
-        grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
-        F, G = grid.fall_sums(basis.scales, GEO, tau)
-        t = np.linspace(0.045, 0.055, K)[:, None]
+        grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]),
+                                GridSpec(z_samples=2.0))
+        t = np.linspace(0.045, 0.055, K)
         tracemalloc.start()
         try:
-            _node_rates(basis, coeff, t, F, G, tau)
+            _cell_rates(basis, coeff, grid, GEO, t, tau)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < F.nbytes
+        assert peak < K * basis.n_max * 16
 
-    @pytest.mark.parametrize("K", [1, _SLAB_ROWS - 1, _SLAB_ROWS,
-                                   _SLAB_ROWS + 1])
+    @pytest.mark.parametrize("K", [1, _RATE_ROWS - 1, _RATE_ROWS,
+                                   _RATE_ROWS + 1, 4 * _RATE_ROWS + 1])
     def test_slabbed_cut_equals_whole_lattice(self, monkeypatch, basis, trap,
                                               recoil, K):
-        # the slab is a whole number of kernel chunks and of rate blocks,
-        # so each product sees the rows it sees in one whole-lattice pass
-        assert _SLAB_ROWS % _CHUNK_ROWS == 0 and _SLAB_ROWS % _RATE_ROWS == 0
+        # the cut forms its sums a block of cells at a time; the block is a
+        # whole number of kernel chunks, so each chunk and each product sees
+        # the rows it sees in whole-lattice sums contracted by blocks
+        assert _RATE_ROWS % _CHUNK_ROWS == 0
         y = [0.3]
         T = np.linspace(0.29, 0.30, K)
         calls = _counted_kernel(monkeypatch)
         dm = current_map_yt(basis, trap, recoil, GEO, y, T)
-        assert calls == [min(_SLAB_ROWS, K - k0)
-                         for k0 in range(0, K, _SLAB_ROWS)]
-        monkeypatch.setattr(freefall, "_SLAB_ROWS", K)
+        assert calls == [min(_RATE_ROWS, K - k0)
+                         for k0 in range(0, K, _RATE_ROWS)]
+        calls.clear()
+        monkeypatch.setattr(freefall, "_cell_rates",
+                            _whole_lattice_cell_rates)
         whole = current_map_yt(basis, trap, recoil, GEO, y, T)
+        assert calls == [K]
         assert np.array_equal(dm.density, whole.density)
 
     def test_cut_holds_no_whole_lattice_sums(self, trap, recoil):

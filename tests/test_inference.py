@@ -12,13 +12,14 @@ import pytest
 
 from qfall.errors import DomainError
 from qfall.freefall import cell_masses
-from qfall.inference import (NODE_TAIL, CampaignResult, EventSet,
-                             GridDensityFamily, _bilinear_at, _invert_linear,
-                             _refine_peak, _scan_lattice, count_information,
-                             cramer_rao_sigma, estimate_g, fisher_information,
-                             log_likelihood, replicate_rng, run_campaign,
-                             sample_events)
+from qfall.inference import (N_SCAN, NODE_TAIL, REL_WINDOW, CampaignResult,
+                             EventSet, GridDensityFamily, _bilinear_at,
+                             _invert_linear, _refine_peak, _scan_lattice,
+                             count_information, cramer_rao_sigma, estimate_g,
+                             fisher_information, log_likelihood,
+                             replicate_rng, run_campaign, sample_events)
 from qfall.mirror import DiskGeometry
+from qfall.physcore import G_DEFAULT
 from qfall.source import build_photodetach, build_trap
 
 EV = 1.602176634e-19
@@ -226,6 +227,19 @@ class TestEstimator:
         assert est.widened == reached
         assert math.isnan(est.sigma)
         assert est.value == est.scan_g[-1]
+
+    def test_narrow_peak_refits_the_three_top_points(self):
+        # ll = -4 ((g - g*) / h)^2 keeps only one neighbour of the top
+        # within 3 log-units, so the fit falls back to the three points
+        # around it, which an exact parabola fits exactly
+        g = _scan_lattice(G_DEFAULT, REL_WINDOW, N_SCAN)
+        h = g[1] - g[0]
+        g_star = g[20] + 0.3 * h
+        ll = -4.0 * ((g - g_star) / h) ** 2
+        value, sigma, on_edge = _refine_peak(g, ll)
+        assert not on_edge
+        assert value == pytest.approx(g_star, abs=1e-6 * h)
+        assert sigma == pytest.approx(h / math.sqrt(8.0), rel=1e-6)
 
     def test_campaign_unbiased_and_efficient(self, family):
         res = run_campaign(family, 20_000, 40, seed=SEED)
