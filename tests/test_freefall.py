@@ -284,8 +284,9 @@ class TestFoldedMap:
         assert fm.density[i, j] == pytest.approx(brute, rel=1e-4)
 
     def test_mode_grid_zeroes_tails(self, basis, trap, recoil):
-        # the chirp kernel sums every mode over the whole z grid, so each
-        # mode's support cut must be carried by zeros in its chi row; rows
+        # the chirp kernel skips a mode only on height segments at or past
+        # its cut and otherwise sums its row through, so each mode's support
+        # cut must be carried by zeros in its chi row; rows
         # are evaluated only up to the cut, where they match the full mode
         # matrix times the Simpson weights to 1e-12 of each row's maximum
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
@@ -395,8 +396,10 @@ class TestFoldedMap:
     def test_slabbed_map_equals_whole_lattice(self, monkeypatch, trap,
                                              recoil):
         # the desk lattice has more tau values than a slab, so a build
-        # forms its sums in two slabs; with one slab over the whole tau
-        # lattice every map must come out bitwise the same
+        # forms its sums in two slabs; the slab is a whole number of kernel
+        # chunks, so with one slab over the whole tau lattice every map
+        # must come out bitwise the same
+        assert _SLAB_ROWS % _CHUNK_ROWS == 0
         kick = build_photodetach(0.0, kick_velocity=0.9)
         for pd in (recoil, kick):
             maker = MapMaker(N_DESK, trap, pd, GEO)

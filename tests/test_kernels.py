@@ -8,10 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 from qfall.errors import DomainError
-from qfall.kernels import mode_chirp_sums, simpson_weights
+from qfall.kernels import (_BLOCK, _CHUNK_ROWS, _SEG_BLOCKS, mode_chirp_sums,
+                           simpson_weights)
 
 
-def make_problem(n_modes=24, n_z=4097, seed=7, k=9):
+def make_problem(n_modes=24, n_z=4097, seed=7, k=9, cuts=None):
+    # random cuts in the upper half of the grid unless `cuts` are given
     rng = np.random.default_rng(seed)
     z = np.linspace(0.0, 1.2e-3, n_z)
     w = simpson_weights(n_z, z[1] - z[0])
@@ -20,7 +22,8 @@ def make_problem(n_modes=24, n_z=4097, seed=7, k=9):
     idx_cut = np.empty(n_modes, dtype=np.int64)
     for n in range(n_modes):
         chi_w[n] = np.sin((n + 1) * 7e3 * z + 0.3 * n) * envelope * w
-        cut = int(rng.integers(n_z // 2, n_z + 1))
+        cut = int(rng.integers(n_z // 2, n_z + 1)) if cuts is None \
+            else cuts[n]
         chi_w[n, cut:] = 0.0
         idx_cut[n] = cut
     alpha = 10 ** rng.uniform(5.5, 7.5, k)
@@ -77,14 +80,16 @@ class TestEngines:
     def test_cut_matches_explicit_zeroing(self):
         problem = make_problem(n_modes=6, n_z=2049)
         F, G = mode_chirp_sums(*problem)
-        # each mode summed only below its cut: the dense products run over
-        # the zero tails of chi_w and must give the same sums
+        # each mode summed only below its cut: the products run over the
+        # zero tails of chi_w in segments that start below the cut and
+        # must give the same sums
         want_f, want_g = explicit_sums(*problem)
         assert_within(F, G, want_f, want_g, np.sum(np.abs(problem[0])),
                       1e-13, 1e-12)
 
     @pytest.mark.parametrize("calls", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("k", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                   _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
     def test_equals_serial_chunk_loop(self, k, calls):
         # the kernel prepares each chunk in reused buffers; at and around
         # the chunk edges F and G must be the explicit sums (taken in
@@ -105,6 +110,21 @@ class TestEngines:
                 for x in (F, G):
                     assert not np.shares_memory(x, F1)
                     assert not np.shares_memory(x, G1)
+
+    def test_staircase_of_cuts(self):
+        # three whole height segments and a part one; the cuts, in no
+        # order, lie at 0, on a segment start, one height past one and at
+        # n_z, so each segment's product starts at a different mode
+        seg = _SEG_BLOCKS * _BLOCK
+        n_z = 3 * seg + 37
+        cuts = [2 * seg, 0, 2 * seg + 1, n_z, seg, seg + 1]
+        problem = make_problem(n_modes=6, n_z=n_z, k=_CHUNK_ROWS + 1,
+                               cuts=cuts)
+        F, G = mode_chirp_sums(*problem)
+        want_f, want_g = explicit_sums(*problem, dtype=np.longdouble)
+        assert_within(F, G, want_f, want_g, np.sum(np.abs(problem[0])),
+                      1e-13, 1e-12)
+        assert not F[:, 1].any() and not G[:, 1].any()
 
     @pytest.mark.parametrize("n_z", [3, 5, 31, 33, 65])
     def test_short_grids(self, n_z):
@@ -155,6 +175,11 @@ class TestEngines:
         bent[200] += 1e-6 * (z[1] - z[0])
         with pytest.raises(DomainError):
             mode_chirp_sums(chi_w, bent, idx_cut, alpha, zprime, invtau, gtau)
+        # the products are real: a complex mode matrix would lose its
+        # imaginary part
+        with pytest.raises(DomainError):
+            mode_chirp_sums(chi_w * (1 + 1j), z, idx_cut, alpha, zprime,
+                            invtau, gtau)
 
 
 class TestQuadratureOracle:
