@@ -286,9 +286,9 @@ class TestFoldedMap:
     def test_mode_grid_zeroes_tails(self, basis, trap, recoil):
         # the chirp kernel skips a mode only on height segments at or past
         # its cut and otherwise sums its row through, so each mode's support
-        # cut must be carried by zeros in its chi row; rows
-        # are evaluated only up to the cut, where they match the full mode
-        # matrix times the Simpson weights to 1e-12 of each row's maximum
+        # cut must be carried by zeros in its chi row; rows are evaluated
+        # only up to the cut, where they match the full mode matrix times
+        # the Simpson weights to 1e-12 of each row's maximum
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
         full = eigenfunction_matrix(basis.table, grid.xi) * simpson_weights(

@@ -88,10 +88,12 @@ class TestEngines:
                       1e-13, 1e-12)
 
     @pytest.mark.parametrize("calls", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
-                                   _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("k", [
+        1, _CHUNK_ROWS // 2 - 1, _CHUNK_ROWS // 2, _CHUNK_ROWS // 2 + 1,
+        _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
     def test_equals_serial_chunk_loop(self, k, calls):
-        # the kernel prepares each chunk in reused buffers; at and around
+        # the kernel prepares each chunk in reused buffers, sized by the
+        # lattice when it is shorter than a chunk; there and at and around
         # the chunk edges F and G must be the explicit sums (taken in
         # extended precision, which a float64 sum of these phases is not),
         # and repeated calls must neither carry state over nor hand out
@@ -114,7 +116,8 @@ class TestEngines:
     def test_staircase_of_cuts(self):
         # three whole height segments and a part one; the cuts, in no
         # order, lie at 0, on a segment start, one height past one and at
-        # n_z, so each segment's product starts at a different mode
+        # n_z: the last two segments skip a prefix of 2 and 3 modes, and a
+        # mode that ends one height into a segment is kept in it
         seg = _SEG_BLOCKS * _BLOCK
         n_z = 3 * seg + 37
         cuts = [2 * seg, 0, 2 * seg + 1, n_z, seg, seg + 1]
