@@ -255,7 +255,8 @@ def _cmd_current_map(cfg, args, out_dir):
     _write_json(os.path.join(out_dir, "current_map.json"), data)
     outputs = ["current_map.csv", "current_map.json"]
     resolved = {"ny": args.ny, "nT": args.nT, "windows": win,
-                "n_z": dm.metadata["n_z"]}
+                "n_z": dm.metadata["n_z"], "n_tau": dm.metadata["n_tau"],
+                "tau_step": dm.metadata["tau_step"]}
     if args.folded:
         fm = MapMaker(cfg.n_max, trap, pd, geom, spec, g0=cfg.g).build(cfg.g)
         tt, TT2 = np.meshgrid(fm.t, fm.T, indexing="ij")

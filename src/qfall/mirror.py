@@ -41,6 +41,10 @@ def time_above_mirror(geometry: DiskGeometry, radial_distance, total_time):
     """t = T d / rbar for an atom landing at rbar after total time T."""
     rbar = np.asarray(radial_distance, dtype=float)
     total = np.asarray(total_time, dtype=float)
+    if not np.all(np.isfinite(rbar)):
+        raise DomainError("detection radius must be finite")
+    if not np.all(np.isfinite(total)):
+        raise DomainError("total fall time must be finite")
     if np.any(rbar <= geometry.travel_distance):
         raise DomainError("detection radius must exceed the mirror radius")
     if np.any(total <= 0.0):

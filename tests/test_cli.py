@@ -16,7 +16,7 @@ import qfall.cli as cli
 import qfall.gqs as gqs
 from qfall.cli import _read_events_csv, main
 from qfall.config import build_components, parse_config
-from qfall.freefall import MapMaker
+from qfall.freefall import _STENCIL, MapMaker
 from qfall.inference import NODE_TAIL
 from qfall.physcore import derive_scales
 
@@ -117,6 +117,9 @@ class TestCurrentMap:
         assert data["peak_density_per_m2s"] > 0
         man = _manifest(out, "current_map")
         assert man["resolved"]["ny"] == 9
+        # the fall-time lattice the cut was read from
+        assert man["resolved"]["n_tau"] >= _STENCIL
+        assert man["resolved"]["tau_step"] > 0.0
 
     @pytest.mark.parametrize("flag", ["--ny", "--nT"])
     def test_empty_cut_refused_before_compute(self, tmp_path, desk_cfg,

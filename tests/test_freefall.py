@@ -15,15 +15,16 @@ import scipy.special as sps
 from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
 from qfall.errors import ConfigError, DomainError
 import qfall.freefall as freefall
-from qfall.freefall import (_RATE_ROWS, _SLAB_ROWS, GridSpec, MapMaker,
-                            _build_mode_grid, _cell_rates, _edge_rates,
-                            _product_rate, annihilation_current,
-                            current_map_yt, fall_windows, grid_axes,
-                            plane_current, propagate_profile,
-                            propagator_kernel)
+from qfall.freefall import (_RATE_ROWS, _SLAB_ROWS, _STENCIL, GridSpec,
+                            MapMaker, _build_mode_grid, _cell_rates,
+                            _edge_rates, _lattice_cell_rates, _lattice_step,
+                            _stencil_start, _stencil_weights,
+                            annihilation_current, current_map_yt,
+                            fall_windows, grid_axes, plane_current,
+                            propagate_profile, propagator_kernel)
 from qfall.gqs import build_basis, overlap_matrix
 from qfall.kernels import _CHUNK_ROWS, simpson_weights
-from qfall.mirror import DiskGeometry, mode_phases
+from qfall.mirror import DiskGeometry, mode_phases, time_above_mirror
 from qfall.physcore import CONSTANTS, G_DEFAULT
 from qfall.source import build_photodetach, build_trap, polar_nodes
 
@@ -106,18 +107,28 @@ def _close(got, want, rel):
     return np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
-def _whole_lattice_cell_rates(basis, coeff, grid, geometry, t, tau):
-    """`_cell_rates` from mode sums formed once for the whole lattice and
-    contracted in the same blocks of `_RATE_ROWS` cells: the reference for
-    the blocked cut."""
-    F, G = grid.fall_sums(basis.scales, geometry, tau)
-    rates = np.empty((t.shape[0], coeff.shape[0]))
-    for k0 in range(0, t.shape[0], _RATE_ROWS):
-        sl = slice(k0, k0 + _RATE_ROWS)
-        phases = mode_phases(basis, t[sl, None])
-        rates[sl] = _product_rate((F[sl] * phases) @ coeff.T,
-                                  (phases * G[sl]) @ coeff.T, tau[sl, None])
-    return rates
+def _per_cell_cut(monkeypatch, *args):
+    """`current_map_yt(*args)` with the direct per-cell sums of
+    `_cell_rates` in place of the lattice: the oracle of the lattice cut."""
+    def direct(basis, coeff, grid, geometry, t, tau):
+        return _cell_rates(basis, coeff, grid, geometry, t, tau), {}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(freefall, "_lattice_cell_rates", direct)
+        return current_map_yt(*args)
+
+
+def _cut_fall_times(y, T):
+    """The cut's fall times, cell by cell, as `current_map_yt` forms them."""
+    y, T = np.asarray(y, dtype=float), np.asarray(T, dtype=float)
+    return (T[None, :] - time_above_mirror(GEO, np.abs(y)[:, None],
+                                           T[None, :])).ravel()
+
+
+def _stencil_rows(tau, step):
+    """The distinct lattice rows of every fall time's stencil."""
+    l0 = _stencil_start(tau, step)
+    return np.unique(l0[:, None] + np.arange(_STENCIL))
 
 
 def _counted_kernel(monkeypatch):
@@ -474,22 +485,92 @@ class TestDetectorCut:
                                    _RATE_ROWS + 1, 4 * _RATE_ROWS + 1])
     def test_slabbed_cut_equals_whole_lattice(self, monkeypatch, basis, trap,
                                               recoil, K):
-        # the cut forms its sums a block of cells at a time; the block is a
-        # whole number of kernel chunks, so each chunk and each product sees
-        # the rows it sees in whole-lattice sums contracted by blocks
-        assert _RATE_ROWS % _CHUNK_ROWS == 0
+        # the cut forms its stencil rows in kernel calls of _CHUNK_ROWS rows
+        # into a rolling window; formed in one call and read in the same
+        # cell blocks, it must come out bitwise the same, and either way
+        # every stencil row is formed exactly once
         y = [0.3]
         T = np.linspace(0.29, 0.30, K)
         calls = _counted_kernel(monkeypatch)
         dm = current_map_yt(basis, trap, recoil, GEO, y, T)
-        assert calls == [min(_RATE_ROWS, K - k0)
-                         for k0 in range(0, K, _RATE_ROWS)]
+        n_tau = dm.metadata["n_tau"]
+        rows = _stencil_rows(_cut_fall_times(y, T), dm.metadata["tau_step"])
+        assert n_tau == rows.size
+        assert calls == [min(_CHUNK_ROWS, n_tau - k0)
+                         for k0 in range(0, n_tau, _CHUNK_ROWS)]
         calls.clear()
-        monkeypatch.setattr(freefall, "_cell_rates",
-                            _whole_lattice_cell_rates)
+        monkeypatch.setattr(freefall, "_CHUNK_ROWS", n_tau)
         whole = current_map_yt(basis, trap, recoil, GEO, y, T)
-        assert calls == [K]
+        assert calls == [n_tau]
         assert np.array_equal(dm.density, whole.density)
+
+    def test_lattice_cut_matches_per_cell_sums(self, monkeypatch, basis,
+                                               trap, recoil):
+        # the criterion-5 window at 300 modes, and the windows of the two
+        # brute-force tests at 50 modes, against the direct per-cell sums
+        kick = build_photodetach(0.0, kick_velocity=0.9)
+        large = build_basis(300)
+        for b, pd, y, T, tol in (
+                (large, recoil, np.linspace(0.282, 0.322, 80),
+                 np.linspace(0.286, 0.306, 80), 1e-8),
+                (basis, recoil, np.linspace(0.27, 0.34, 15),
+                 np.linspace(0.285, 0.305, 21), 1e-9),
+                (basis, kick, np.linspace(0.25, 0.30, 6),
+                 np.linspace(0.295, 0.310, 7), 1e-9)):
+            dm = current_map_yt(b, trap, pd, GEO, y, T)
+            direct = _per_cell_cut(monkeypatch, b, trap, pd, GEO, y, T)
+            assert dm.density.max() > 0.0
+            assert _close(dm.density, direct.density, tol)
+            if b is large:
+                assert dm.density.sum() == pytest.approx(
+                    direct.density.sum(), rel=1e-10)
+                assert np.argmax(dm.density) == np.argmax(direct.density)
+
+    def test_lattice_edge_cases(self, monkeypatch, basis, trap, recoil):
+        # against the direct sums, within 1e-8 of the largest rate over the
+        # detector_cut window (0.236 to 0.258 s, edge times 45 to 55 ms)
+        nodes = polar_nodes(recoil)
+        coeff = overlap_matrix(basis, GEO.release_height, trap.width,
+                               recoil.recoil_momentum * nodes.u)
+        ends = np.asarray([0.236, 0.258])
+        step = _lattice_step(basis, GEO, ends)
+        tau = np.linspace(*ends, 60)
+        grid = _build_mode_grid(basis, GEO, ends, GridSpec())
+        scale = np.abs(_cell_rates(basis, coeff, grid, GEO,
+                                   np.repeat([0.045, 0.05, 0.055], 60),
+                                   np.tile(tau, 3))).max()
+        # a fall time on a lattice node, between the window's ends
+        node = np.round(ends.mean() / step) * step
+        assert _lattice_step(basis, GEO, np.append(ends, node)) == step
+        rng = np.random.default_rng(3)
+        spread = rng.uniform(*ends, 40)
+        cases = {
+            "one cell": (np.asarray([0.05]), np.asarray([0.247])),
+            "one tau": (np.linspace(0.045, 0.055, 30), np.full(30, 0.247)),
+            "node": (np.full(3, 0.05), np.asarray([ends[0], node, ends[1]])),
+            # unsorted, repeated, and wide apart, so that rows are skipped
+            "unsorted": (rng.uniform(0.045, 0.055, 80),
+                         np.concatenate([spread, spread[::-1]])),
+        }
+        for name, (t, tau) in cases.items():
+            grid = _build_mode_grid(basis, GEO, (tau.min(), tau.max()),
+                                    GridSpec())
+            want = _cell_rates(basis, coeff, grid, GEO, t, tau)
+            got, lattice = _lattice_cell_rates(basis, coeff, grid, GEO, t,
+                                               tau)
+            assert np.abs(got - want).max() <= 1e-8 * scale, name
+            assert lattice["n_tau"] == _stencil_rows(
+                tau, lattice["tau_step"]).size, name
+        # the node's value is read alone
+        w = _stencil_weights(np.asarray([node]),
+                             _stencil_start(np.asarray([node]), step), step)
+        assert np.sort(w[0]).tolist() == [0.0] * (_STENCIL - 1) + [1.0]
+        # negative y reads the radius |y|
+        y = -np.linspace(0.27, 0.30, 4)
+        T = np.linspace(0.29, 0.30, 5)
+        dm = current_map_yt(basis, trap, recoil, GEO, y, T)
+        direct = _per_cell_cut(monkeypatch, basis, trap, recoil, GEO, y, T)
+        assert _close(dm.density, direct.density, 1e-9)
 
     def test_cut_holds_no_whole_lattice_sums(self, trap, recoil):
         # 6400 fall times at 300 modes: F and G would take 61 MB, against
@@ -593,5 +674,15 @@ class TestDetectorCut:
             current_map_yt(basis, trap, recoil, GEO, [0.04], [0.3])
         with pytest.raises(DomainError):
             current_map_yt(basis, trap, recoil, GEO, [0.3], [-0.1])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="radius must be finite"):
+                current_map_yt(basis, trap, recoil, GEO, [bad], [0.3])
+            with pytest.raises(DomainError, match="time must be finite"):
+                current_map_yt(basis, trap, recoil, GEO, [0.3], [bad])
+        # a 1 um drop: a fall time of 0.22 ms, six lattice steps, would put
+        # the stencil's first rows at or before tau = 0
+        low = DiskGeometry(GEO.release_height, GEO.travel_distance, 1e-6)
+        with pytest.raises(DomainError, match="fall-time lattice"):
+            current_map_yt(basis, trap, recoil, low, [0.05 / 0.955], [0.005])
         with pytest.raises(DomainError):
             annihilation_current(basis, trap, recoil, GEO, 0.0, 0.04, 0.3)
