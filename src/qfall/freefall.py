@@ -438,6 +438,7 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
         rates[order[blk]] = _product_rate(A[:, 0] @ coeff.T,
                                           A[:, 1] @ coeff.T,
                                           tau_s[blk, None])
+        # freed before the next kernel call
         del wb, A
         k0 = k1
     return rates, {"n_tau": n_rows, "tau_step": step}
