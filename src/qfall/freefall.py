@@ -14,19 +14,17 @@ rbar after total time T, the time above the disk is t = T d / rbar and the
 fall takes tau = T - t; on a lattice where the t step is an integer multiple
 of the T step, every cell's tau lands on one shared tau lattice and the
 chirp sums are computed once per tau value.  The folded map forms the sums
-a slab of `_SLAB_ROWS` lattice times at a time, the spot value `_RATE_ROWS`
-cells at a time, and each block is contracted before the next is formed,
-so F and G are never held for the whole lattice.
+a slab of `_SLAB_ROWS` lattice times at a time, the cut and the spot value
+`_RATE_ROWS` cells at a time, and each block is contracted before the next
+is formed, so F and G are never held for the whole lattice.
 
-The cut's cells each have their own fall time.  With the propagator phase
-Phi and the energy phases removed, A_n = F_n e^{-i Phi} e^{i lambda_n tau /
-t_g} is smooth in tau, so the cut forms A on a lattice of fall times, five
-rows per fastest beat, and reads each cell from a centred 24-point Lagrange
-stencil, within 1e-8 of the map maximum (4.0e-10 on the 300-mode
-`detector_cut` window, 9.5e-12 at 1000 modes).  On that 80 x 80 window
-the lattice holds 2165 rows against 6400 cells at 300 modes, formed in 17
-kernel calls against 50, and 4765 rows at 1000 modes.  The spot value
-sums each cell's own fall time directly.
+The cut's cells each have their own fall time, and `_cell_rates` forms
+one kernel row per cell.  With the propagator phase Phi and the energy
+phases removed, A_n = F_n e^{-i Phi} e^{i lambda_n tau / t_g} is smooth in
+tau, so where that takes fewer kernel rows (the 6400 cells of the
+`detector_cut` window, 2165 rows at 300 modes) the cut reads its cells
+from A on a lattice of fall times, five rows per fastest beat, by centred
+24-point Lagrange stencils, within 1e-8 of the map maximum.
 
 The detector-plane observables come in three forms: `MapMaker.build` (the
 azimuth-integrated (t, T) density used for estimation, with the kick azimuth
@@ -36,10 +34,10 @@ unfolded density on a (Y, T) cut through the detector plane), and
 directions, kept as an independent cross-check of the folded assembly).
 All three take their recoil nodes from `source.polar_nodes` and their mode
 sums from `ModeGrid.fall_sums`.  On the cut and the spot every cell has its
-own edge time, so `_lattice_cell_rates` and `_cell_rates` apply each cell's
-mode phases to its A or its F and G; on the folded map an edge time holds
-for every row, so `_edge_rates` phases the overlaps of a block of edge
-times and multiplies them with F and G in one product.
+own edge time, so `_phased_rates` applies each cell's mode phases to its
+F and G, or to its A read from the lattice; on the folded map an edge
+time holds for every row, so `_edge_rates` phases the overlaps of a block
+of edge times and multiplies them with F and G in one product.
 The folded map and the cut share their landing weights (`_ring_weights`;
 the cut is the folded azimuth law at the detector azimuth) and one
 `_clip`.  The spot value keeps explicit Gaussians, with kick directions and
@@ -59,7 +57,8 @@ from .airy import _airy_rows
 from .errors import ConfigError, DomainError
 from .gqs import (GQSBasis, build_basis, classical_cutoff_velocity,
                   overlap_matrix)
-from .kernels import _CHUNK_ROWS, _TWO_PI, mode_chirp_sums, simpson_weights
+from .kernels import (_CHUNK_ROWS, _TWO_PI, lagrange_weights, mode_chirp_sums,
+                      simpson_weights)
 from .mirror import DiskGeometry, mode_phases, time_above_mirror
 from .physcore import CONSTANTS, G_DEFAULT, GravScales
 from .source import (DEFAULT_AZIMUTH_NODES, DEFAULT_POLAR_NODES,
@@ -285,9 +284,8 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     return ModeGrid(xi=xi, chi=chi, idx_cut=idx_cut)
 
 
-#: cells per block of the spot value's mode sums and of the cut's
-#: interpolation, and rows of evolved overlaps per edge-time block of the
-#: folded map
+#: cells per block of the per-cell sums and of the cut's interpolation,
+#: and rows of evolved overlaps per edge-time block of the folded map
 _RATE_ROWS = 128
 #: lattice times whose mode sums the folded map forms and contracts at a
 #: time; a multiple of the kernel's chunk, so that every chunk sees the
@@ -304,58 +302,53 @@ _BARY = np.array([(-1) ** j * math.comb(_STENCIL - 1, j)
                   for j in range(_STENCIL)], dtype=float)
 
 
+def _phased_rates(basis: GQSBasis, coeff: np.ndarray, F: np.ndarray,
+                  G: np.ndarray, t, tau) -> np.ndarray:
+    """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF)
+    SG), (K, n_u), of K cells' sums F, G (K, N), phased in place: SF = sum_n
+    c~_n F_n, c~ the overlaps `coeff` (n_u, N) evolved over each cell's t."""
+    phases = mode_phases(basis, t[:, None])
+    np.multiply(F, phases, out=F)
+    np.multiply(phases, G, out=G)
+    return _product_rate(F @ coeff.T, G @ coeff.T, tau[:, None])
+
+
 def _cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
                 geometry: DiskGeometry, t, tau) -> np.ndarray:
-    """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF) SG),
-    (K, n_u), of K cells each with its own edge time t and fall time tau.
-
-    SF = sum_n c~_n F_n with c~ the overlaps `coeff` (n_u, N) evolved over
-    t.  F and G are formed `_RATE_ROWS` cells at a time and phased in place,
-    so no (K, N) array is held.
-    """
+    """`_phased_rates` of K cells each with its own edge time t and fall
+    time tau, one kernel row per cell.  F and G are formed `_RATE_ROWS`
+    cells at a time, so no (K, N) array is held."""
     rates = np.empty((t.shape[0], coeff.shape[0]))
     for k0 in range(0, t.shape[0], _RATE_ROWS):
         sl = slice(k0, k0 + _RATE_ROWS)
         F, G = grid.fall_sums(basis.scales, geometry, tau[sl])
-        phases = mode_phases(basis, t[sl, None])
-        np.multiply(F, phases, out=F)
-        np.multiply(phases, G, out=G)
-        rates[sl] = _product_rate(F @ coeff.T, G @ coeff.T, tau[sl, None])
+        rates[sl] = _phased_rates(basis, coeff, F, G, t[sl], tau[sl])
         # freed before the next block's sums are formed
-        del F, G, phases
+        del F, G
     return rates
 
 
-def _lattice_step(basis: GQSBasis, geometry: DiskGeometry, tau) -> float:
-    """Step of the cut's fall-time lattice: `_LATTICE_SAMPLES` rows per
-    beat of the faster of the top mode and the classical arrival energy
-    m v^2 / 2 over the fall times tau, v = (g tau^2 / 2 - H) / tau being the
-    release speed of the path that lands at tau."""
-    sc = basis.scales
+def _stencil_plan(basis: GQSBasis, geometry: DiskGeometry, tau):
+    """(step, order, l0, pos, rows) of the lattice that reads the fall times
+    tau.  The step gives `_LATTICE_SAMPLES` rows per beat of the faster of
+    the top mode and the classical arrival energy m v^2 / 2 over tau, v =
+    (g tau^2 / 2 - H) / tau being the release speed of the path that lands
+    at tau.  `order` sorts tau; sorted fall time k lies between the centre
+    nodes of its stencil, which starts at row l0[k] (at l0[k] * step), at
+    position pos[k] of `rows`, the distinct stencil rows in ascending order.
+    """
+    S, sc = _STENCIL, basis.scales
     v = (0.5 * sc.g * tau * tau - geometry.fall_height) / tau
     lam_win = float(np.max(v * v)) / (2.0 * sc.g * sc.length)
-    return 2.0 * math.pi * sc.time / (
+    step = 2.0 * math.pi * sc.time / (
         _LATTICE_SAMPLES * max(basis.lam_max, lam_win))
-
-
-def _stencil_start(tau: np.ndarray, step: float) -> np.ndarray:
-    """First lattice row l0 of each fall time's stencil, row l lying at
-    l * step: tau falls between the stencil's two centre nodes."""
-    return np.floor(tau / step).astype(np.int64) - (_STENCIL // 2 - 1)
-
-
-def _stencil_weights(tau: np.ndarray, l0: np.ndarray,
-                     step: float) -> np.ndarray:
-    """Lagrange weights (K, `_STENCIL`) of each fall time on the lattice
-    rows l0 + j; a fall time on a node takes that node alone."""
-    # exact: tau and a node within a few steps of it are close floats
-    diff = tau[:, None] - (l0[:, None] + np.arange(_STENCIL)) * step
-    hit = diff == 0.0
-    w = _BARY / np.where(hit, 1.0, diff)
-    w /= w.sum(axis=1, keepdims=True)
-    on = hit.any(axis=1)
-    w[on] = hit[on]
-    return w
+    order = np.argsort(tau, kind="stable")
+    l0 = np.floor(tau[order] / step).astype(np.int64) - (S // 2 - 1)
+    # cell k adds the last new[k] rows of its stencil
+    new = np.minimum(np.diff(l0, prepend=l0[0] - S), S)
+    pos = np.cumsum(new) - S
+    rows = np.repeat(l0 - pos, new) + np.arange(pos[-1] + S)
+    return step, order, l0, pos, rows
 
 
 def _demodulated_sums(basis: GQSBasis, grid: ModeGrid,
@@ -372,16 +365,15 @@ def _demodulated_sums(basis: GQSBasis, grid: ModeGrid,
     F, G = grid.fall_sums(basis.scales, geometry, tau)
     demod = np.conj(mode_phases(basis, tau[:, None]))
     demod *= np.exp(-1j * phi.astype(np.float64))[:, None]
-    out = np.empty((tau.shape[0], 2, F.shape[1]), dtype=np.complex128)
-    np.multiply(F, demod, out=out[:, 0])
-    np.multiply(G, demod, out=out[:, 1])
-    return out
+    F *= demod
+    G *= demod
+    return np.stack([F, G], axis=1)
 
 
 def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
                         geometry: DiskGeometry, t, tau):
-    """`_cell_rates` read from a lattice of fall times, and the lattice's
-    {"n_tau": rows formed, "tau_step": step}.
+    """`_cell_rates` read from a lattice of fall times (`_stencil_plan`)
+    whose rows all lie after tau = 0, and {"n_tau": rows, "tau_step": step}.
 
     The cells are walked in order of tau.  Each lattice row in some cell's
     stencil is formed once, in calls of `_CHUNK_ROWS` rows, and demodulated
@@ -393,21 +385,8 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
     interpolated sums are phased at t + tau.
     """
     K, N, S = tau.shape[0], coeff.shape[1], _STENCIL
-    step = _lattice_step(basis, geometry, tau)
-    order = np.argsort(tau, kind="stable")
-    tau_s, t_s = tau[order], t[order]
-    l0 = _stencil_start(tau_s, step)
-    if l0[0] < 1:
-        # the stencil would reach lattice rows at or before tau = 0
-        raise DomainError("fall times must be at least %d steps of the "
-                          "cut's fall-time lattice, %.3g s"
-                          % (_STENCIL // 2, _STENCIL // 2 * step))
-    # the distinct stencil rows in ascending order: cell k adds the last
-    # new[k] rows of its stencil, which starts at position pos[k]
-    new = np.minimum(np.diff(l0, prepend=l0[0] - S), S)
-    pos = np.cumsum(new) - S
-    n_rows = int(pos[-1]) + S
-    rows = np.repeat(l0 - pos, new) + np.arange(n_rows)
+    step, order, l0, pos, rows = _stencil_plan(basis, geometry, tau)
+    tau_s, t_s, n_rows = tau[order], t[order], rows.shape[0]
 
     # A of positions base .. done - 1, F and G as real and imaginary parts
     window = np.empty((0, 4 * N))
@@ -429,15 +408,14 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
             del keep, fresh
             base, done = p0, b
         blk = slice(k0, k1)
+        nodes = (l0[blk, None] + np.arange(S)) * step
         wb = np.zeros((k1 - k0, p1 - p0))
         wb[np.arange(k1 - k0)[:, None], (pos[blk] - p0)[:, None]
-           + np.arange(S)] = _stencil_weights(tau_s[blk], l0[blk], step)
+           + np.arange(S)] = lagrange_weights(tau_s[blk], nodes, _BARY)
         A = (wb @ window[p0 - base:p1 - base]).view(np.complex128).reshape(
             k1 - k0, 2, N)
-        A *= mode_phases(basis, (t_s[blk] + tau_s[blk])[:, None, None])
-        rates[order[blk]] = _product_rate(A[:, 0] @ coeff.T,
-                                          A[:, 1] @ coeff.T,
-                                          tau_s[blk, None])
+        rates[order[blk]] = _phased_rates(basis, coeff, A[:, 0], A[:, 1],
+                                          t_s[blk] + tau_s[blk], tau_s[blk])
         # freed before the next kernel call
         del wb, A
         k0 = k1
@@ -659,6 +637,9 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
     """Density per unit detector area and time along the Y axis (X = 0)."""
     y = np.asarray(y_values, dtype=float)
     T = np.asarray(T_values, dtype=float)
+    if y.ndim != 1 or T.ndim != 1 or y.size == 0 or T.size == 0:
+        raise DomainError("y_values and T_values must be non-empty 1-d "
+                          "axes, got shapes %s and %s" % (y.shape, T.shape))
     tmat = time_above_mirror(geometry, np.abs(y)[:, None], T[None, :])
     taumat = T[None, :] - tmat
     if np.any(taumat <= 0.0):
@@ -672,7 +653,16 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
                             (float(taumat.min()), float(taumat.max())), spec)
     tau = taumat.ravel()
     t = tmat.ravel()
-    rate, lattice = _lattice_cell_rates(basis, coeff, grid, geometry, t, tau)
+    # a kernel row costs about 4 N J multiply-adds and reading a cell from
+    # the lattice under 48 * 4 N: read it where its stencils hold fewer
+    # rows than the cut has cells, all after tau = 0
+    rows = _stencil_plan(basis, geometry, tau)[-1]
+    if rows.shape[0] < tau.shape[0] and rows[0] > 0:
+        rate, lattice = _lattice_cell_rates(basis, coeff, grid, geometry, t,
+                                            tau)
+    else:
+        rate = _cell_rates(basis, coeff, grid, geometry, t, tau)
+        lattice = {"n_tau": tau.shape[0], "tau_step": None}
 
     w_A, w_C, kappa = _ring_weights(nodes, trap, photodetach, geometry, t)
     # at X = 0 the detector azimuth is sign(y) pi/2

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .freefall import FoldedMap, GridSpec, MapMaker, cell_masses
+from .kernels import lagrange_weights
 from .mirror import DiskGeometry
 from .physcore import G_DEFAULT
 from .source import PhotodetachConfig, TrapConfig
@@ -309,12 +310,8 @@ class MapNodes:
     def weights(self, g) -> np.ndarray:
         """Weights (..., P) of the interpolant at g: value = weights @ node
         values.  At a node they are exactly that node's unit vector."""
-        diff = self._offset(g)[..., None] - self.x
-        hit = diff == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = _barycentric_weights(self.x.shape[0] - 1) / diff
-            w = a / a.sum(axis=-1, keepdims=True)
-        return np.where(hit.any(axis=-1, keepdims=True), hit * 1.0, w)
+        return lagrange_weights(self._offset(g), self.x,
+                                _barycentric_weights(self.x.shape[0] - 1))
 
     @property
     def slope(self) -> np.ndarray:

@@ -74,6 +74,18 @@ def simpson_weights(count: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
+def lagrange_weights(x, nodes, bary) -> np.ndarray:
+    """Weights (..., P) at the points x of the Lagrange interpolant through
+    P nodes (broadcast against x[..., None]) with barycentric weights
+    `bary`: value = weights @ node values.  A node takes itself alone."""
+    diff = np.asarray(x, dtype=float)[..., None] - nodes
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = bary / diff
+        w = a / a.sum(axis=-1, keepdims=True)
+    return np.where(hit.any(axis=-1, keepdims=True), hit * 1.0, w)
+
+
 def _check_inputs(chi_w, z, idx_cut, alpha, zprime, invtau, gtau):
     if chi_w.ndim != 2 or z.ndim != 1 or chi_w.shape[1] != z.shape[0]:
         raise DomainError("chi_w must be (n_modes, n_z) matching z")

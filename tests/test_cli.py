@@ -16,7 +16,7 @@ import qfall.cli as cli
 import qfall.gqs as gqs
 from qfall.cli import _read_events_csv, main
 from qfall.config import build_components, parse_config
-from qfall.freefall import _STENCIL, MapMaker
+from qfall.freefall import MapMaker
 from qfall.inference import NODE_TAIL
 from qfall.physcore import derive_scales
 
@@ -117,9 +117,19 @@ class TestCurrentMap:
         assert data["peak_density_per_m2s"] > 0
         man = _manifest(out, "current_map")
         assert man["resolved"]["ny"] == 9
-        # the fall-time lattice the cut was read from
-        assert man["resolved"]["n_tau"] >= _STENCIL
-        assert man["resolved"]["tau_step"] > 0.0
+        # 99 cells are too few for the fall-time lattice to pay: the cut
+        # formed one kernel row per cell and no lattice step
+        assert man["resolved"]["n_tau"] == 9 * 11
+        assert man["resolved"]["tau_step"] is None
+
+    def test_default_window_forms_one_row_per_cell(self, tmp_path, desk_cfg):
+        # the derived 101 x 121 window: its stencils would hold 63261
+        # lattice rows, against 12221 direct rows
+        out = str(tmp_path)
+        assert main(["current-map", "--config", desk_cfg, "--out", out]) == 0
+        resolved = _manifest(out, "current_map")["resolved"]
+        assert resolved["n_tau"] == 101 * 121 == 12221
+        assert resolved["tau_step"] is None
 
     @pytest.mark.parametrize("flag", ["--ny", "--nT"])
     def test_empty_cut_refused_before_compute(self, tmp_path, desk_cfg,

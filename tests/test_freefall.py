@@ -15,15 +15,15 @@ import scipy.special as sps
 from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
 from qfall.errors import ConfigError, DomainError
 import qfall.freefall as freefall
-from qfall.freefall import (_RATE_ROWS, _SLAB_ROWS, _STENCIL, GridSpec,
-                            MapMaker, _build_mode_grid, _cell_rates,
-                            _edge_rates, _lattice_cell_rates, _lattice_step,
-                            _stencil_start, _stencil_weights,
-                            annihilation_current, current_map_yt,
-                            fall_windows, grid_axes, plane_current,
-                            propagate_profile, propagator_kernel)
+from qfall.freefall import (_BARY, _RATE_ROWS, _SLAB_ROWS, _STENCIL,
+                            GridSpec, MapMaker, _build_mode_grid,
+                            _cell_rates, _edge_rates, _lattice_cell_rates,
+                            _stencil_plan, annihilation_current,
+                            current_map_yt, fall_windows, grid_axes,
+                            plane_current, propagate_profile,
+                            propagator_kernel)
 from qfall.gqs import build_basis, overlap_matrix
-from qfall.kernels import _CHUNK_ROWS, simpson_weights
+from qfall.kernels import _CHUNK_ROWS, lagrange_weights, simpson_weights
 from qfall.mirror import DiskGeometry, mode_phases, time_above_mirror
 from qfall.physcore import CONSTANTS, G_DEFAULT
 from qfall.source import build_photodetach, build_trap, polar_nodes
@@ -32,6 +32,8 @@ EV = 1.602176634e-19
 GEO = DiskGeometry(release_height=10e-6, travel_distance=0.05,
                    fall_height=0.3)
 N_DESK = 50
+#: the (y, T) axes of acceptance criterion 5 and of `detector_cut`
+CRITERION_5 = (np.linspace(0.282, 0.322, 80), np.linspace(0.286, 0.306, 80))
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +120,17 @@ def _per_cell_cut(monkeypatch, *args):
         return current_map_yt(*args)
 
 
-def _cut_fall_times(y, T):
-    """The cut's fall times, cell by cell, as `current_map_yt` forms them."""
+def _cut_times(y, T):
+    """The cut's edge and fall times (t, tau), cell by cell, as
+    `current_map_yt` forms them."""
     y, T = np.asarray(y, dtype=float), np.asarray(T, dtype=float)
-    return (T[None, :] - time_above_mirror(GEO, np.abs(y)[:, None],
-                                           T[None, :])).ravel()
+    t = time_above_mirror(GEO, np.abs(y)[:, None], T[None, :])
+    return t.ravel(), (T[None, :] - t).ravel()
 
 
-def _stencil_rows(tau, step):
+def _stencil_rows(basis, tau):
     """The distinct lattice rows of every fall time's stencil."""
-    l0 = _stencil_start(tau, step)
+    l0 = _stencil_plan(basis, GEO, tau)[2]
     return np.unique(l0[:, None] + np.arange(_STENCIL))
 
 
@@ -485,55 +488,90 @@ class TestDetectorCut:
                                    _RATE_ROWS + 1, 4 * _RATE_ROWS + 1])
     def test_slabbed_cut_equals_whole_lattice(self, monkeypatch, basis, trap,
                                               recoil, K):
-        # the cut forms its stencil rows in kernel calls of _CHUNK_ROWS rows
-        # into a rolling window; formed in one call and read in the same
-        # cell blocks, it must come out bitwise the same, and either way
-        # every stencil row is formed exactly once
-        y = [0.3]
-        T = np.linspace(0.29, 0.30, K)
+        # the lattice reader forms its stencil rows in kernel calls of
+        # _CHUNK_ROWS rows into a rolling window; formed in one call and
+        # read in the same cell blocks, the rates must come out bitwise the
+        # same, and either way every stencil row is formed exactly once.
+        # A cut this sparse takes the direct sums, so the reader is called
+        # on its K cells
+        nodes = polar_nodes(recoil)
+        coeff = overlap_matrix(basis, GEO.release_height, trap.width,
+                               recoil.recoil_momentum * nodes.u)
+        t, tau = _cut_times([0.3], np.linspace(0.29, 0.30, K))
+        grid = _build_mode_grid(basis, GEO, (tau.min(), tau.max()),
+                                GridSpec())
         calls = _counted_kernel(monkeypatch)
-        dm = current_map_yt(basis, trap, recoil, GEO, y, T)
-        n_tau = dm.metadata["n_tau"]
-        rows = _stencil_rows(_cut_fall_times(y, T), dm.metadata["tau_step"])
-        assert n_tau == rows.size
+        rates, lattice = _lattice_cell_rates(basis, coeff, grid, GEO, t, tau)
+        n_tau = lattice["n_tau"]
+        assert n_tau == _stencil_rows(basis, tau).size
         assert calls == [min(_CHUNK_ROWS, n_tau - k0)
                          for k0 in range(0, n_tau, _CHUNK_ROWS)]
         calls.clear()
         monkeypatch.setattr(freefall, "_CHUNK_ROWS", n_tau)
-        whole = current_map_yt(basis, trap, recoil, GEO, y, T)
+        whole, _ = _lattice_cell_rates(basis, coeff, grid, GEO, t, tau)
         assert calls == [n_tau]
-        assert np.array_equal(dm.density, whole.density)
+        assert np.array_equal(rates, whole)
 
     def test_lattice_cut_matches_per_cell_sums(self, monkeypatch, basis,
                                                trap, recoil):
-        # the criterion-5 window at 300 modes, and the windows of the two
-        # brute-force tests at 50 modes, against the direct per-cell sums
+        # the criterion-5 window at 300 and at 50 modes, and the kick
+        # brute-force test's window at 80 x 80 cells, each read from the
+        # lattice, against the direct per-cell sums
         kick = build_photodetach(0.0, kick_velocity=0.9)
         large = build_basis(300)
+        y5, T5 = CRITERION_5
         for b, pd, y, T, tol in (
-                (large, recoil, np.linspace(0.282, 0.322, 80),
-                 np.linspace(0.286, 0.306, 80), 1e-8),
-                (basis, recoil, np.linspace(0.27, 0.34, 15),
-                 np.linspace(0.285, 0.305, 21), 1e-9),
-                (basis, kick, np.linspace(0.25, 0.30, 6),
-                 np.linspace(0.295, 0.310, 7), 1e-9)):
+                (large, recoil, y5, T5, 1e-8),
+                (basis, recoil, y5, T5, 1e-9),
+                (basis, kick, np.linspace(0.25, 0.30, 80),
+                 np.linspace(0.295, 0.310, 80), 1e-9)):
             dm = current_map_yt(b, trap, pd, GEO, y, T)
             direct = _per_cell_cut(monkeypatch, b, trap, pd, GEO, y, T)
+            assert dm.metadata["tau_step"] is not None
             assert dm.density.max() > 0.0
             assert _close(dm.density, direct.density, tol)
             if b is large:
                 assert dm.density.sum() == pytest.approx(
                     direct.density.sum(), rel=1e-10)
                 assert np.argmax(dm.density) == np.argmax(direct.density)
+            elif pd is recoil:
+                # negative y reads the radius |y|
+                minus = current_map_yt(b, trap, pd, GEO, -y, T)
+                assert np.array_equal(minus.density, dm.density)
 
-    def test_lattice_edge_cases(self, monkeypatch, basis, trap, recoil):
+    def test_lattice_only_where_it_forms_fewer_rows(self, monkeypatch,
+                                                    basis, trap, recoil):
+        # the criterion-5 window's stencils hold 2165 rows for 6400 cells,
+        # so the cut reads the lattice; the brute-force test's 15 x 21
+        # window (3398 rows for 315 cells) and a one-cell cut form one
+        # kernel row per cell, the direct sums
+        calls = _counted_kernel(monkeypatch)
+        y5, T5 = CRITERION_5
+        dm = current_map_yt(basis, trap, recoil, GEO, y5, T5)
+        rows = _stencil_rows(basis, _cut_times(y5, T5)[1]).size
+        assert sum(calls) == dm.metadata["n_tau"] == rows == 2165
+        assert dm.metadata["tau_step"] > 0.0
+        for y, T, rows in ((np.linspace(0.27, 0.34, 15),
+                            np.linspace(0.285, 0.305, 21), 3398),
+                           ([0.3], [0.29], _STENCIL)):
+            calls.clear()
+            dm = current_map_yt(basis, trap, recoil, GEO, y, T)
+            cells = np.size(y) * np.size(T)
+            assert _stencil_rows(basis, _cut_times(y, T)[1]).size == rows
+            assert sum(calls) == dm.metadata["n_tau"] == cells
+            assert dm.metadata["tau_step"] is None
+            direct = _per_cell_cut(monkeypatch, basis, trap, recoil, GEO, y,
+                                   T)
+            assert np.array_equal(dm.density, direct.density)
+
+    def test_lattice_edge_cases(self, basis, trap, recoil):
         # against the direct sums, within 1e-8 of the largest rate over the
         # detector_cut window (0.236 to 0.258 s, edge times 45 to 55 ms)
         nodes = polar_nodes(recoil)
         coeff = overlap_matrix(basis, GEO.release_height, trap.width,
                                recoil.recoil_momentum * nodes.u)
         ends = np.asarray([0.236, 0.258])
-        step = _lattice_step(basis, GEO, ends)
+        step = _stencil_plan(basis, GEO, ends)[0]
         tau = np.linspace(*ends, 60)
         grid = _build_mode_grid(basis, GEO, ends, GridSpec())
         scale = np.abs(_cell_rates(basis, coeff, grid, GEO,
@@ -541,7 +579,7 @@ class TestDetectorCut:
                                    np.tile(tau, 3))).max()
         # a fall time on a lattice node, between the window's ends
         node = np.round(ends.mean() / step) * step
-        assert _lattice_step(basis, GEO, np.append(ends, node)) == step
+        assert _stencil_plan(basis, GEO, np.append(ends, node))[0] == step
         rng = np.random.default_rng(3)
         spread = rng.uniform(*ends, 40)
         cases = {
@@ -559,18 +597,13 @@ class TestDetectorCut:
             got, lattice = _lattice_cell_rates(basis, coeff, grid, GEO, t,
                                                tau)
             assert np.abs(got - want).max() <= 1e-8 * scale, name
-            assert lattice["n_tau"] == _stencil_rows(
-                tau, lattice["tau_step"]).size, name
+            assert lattice["n_tau"] == _stencil_rows(basis, tau).size, name
         # the node's value is read alone
-        w = _stencil_weights(np.asarray([node]),
-                             _stencil_start(np.asarray([node]), step), step)
-        assert np.sort(w[0]).tolist() == [0.0] * (_STENCIL - 1) + [1.0]
-        # negative y reads the radius |y|
-        y = -np.linspace(0.27, 0.30, 4)
-        T = np.linspace(0.29, 0.30, 5)
-        dm = current_map_yt(basis, trap, recoil, GEO, y, T)
-        direct = _per_cell_cut(monkeypatch, basis, trap, recoil, GEO, y, T)
-        assert _close(dm.density, direct.density, 1e-9)
+        tau = cases["node"][1]
+        _, order, l0, _, _ = _stencil_plan(basis, GEO, tau)
+        w = lagrange_weights(tau[order],
+                             (l0[:, None] + np.arange(_STENCIL)) * step, _BARY)
+        assert np.sort(w[1]).tolist() == [0.0] * (_STENCIL - 1) + [1.0]
 
     def test_cut_holds_no_whole_lattice_sums(self, trap, recoil):
         # 6400 fall times at 300 modes: F and G would take 61 MB, against
@@ -679,10 +712,27 @@ class TestDetectorCut:
                 current_map_yt(basis, trap, recoil, GEO, [bad], [0.3])
             with pytest.raises(DomainError, match="time must be finite"):
                 current_map_yt(basis, trap, recoil, GEO, [0.3], [bad])
-        # a 1 um drop: a fall time of 0.22 ms, six lattice steps, would put
-        # the stencil's first rows at or before tau = 0
+        for y, T in (([], [0.3]), ([0.3], []), ([[0.3]], [0.3]),
+                     ([0.3], [[0.3]])):
+            with pytest.raises(DomainError, match="non-empty 1-d axes"):
+                current_map_yt(basis, trap, recoil, GEO, y, T)
+        # a 1 um drop: 50 ms above the mirror and fall times of 0.15 to
+        # 0.25 ms, 4 to 7 lattice steps.  The 64 cells' stencils hold fewer
+        # rows than that, but they reach rows at or before tau = 0, so the
+        # cut takes the direct sums, as the spot value does
         low = DiskGeometry(GEO.release_height, GEO.travel_distance, 1e-6)
-        with pytest.raises(DomainError, match="fall-time lattice"):
-            current_map_yt(basis, trap, recoil, low, [0.05 / 0.955], [0.005])
+        y = np.linspace(0.05015, 0.05025, 8)
+        T = np.linspace(0.0501, 0.0503, 8)
+        rows = _stencil_plan(basis, low, _cut_times(y, T)[1])[-1]
+        assert rows.size < y.size * T.size and rows[0] <= 0
+        dm = current_map_yt(basis, trap, recoil, low, y, T)
+        assert dm.metadata["tau_step"] is None
+        # the spot builds its mode grid for one fall time, the cut for
+        # all 64: they differ in the z quadrature
+        for iy, iT in ((3, 4), (7, 0)):
+            spot = annihilation_current(basis, trap, recoil, low, 0.0, y[iy],
+                                        T[iT], n_azimuth=256)
+            assert dm.density[iy, iT] > 0.0
+            assert dm.density[iy, iT] == pytest.approx(spot, rel=1e-8)
         with pytest.raises(DomainError):
             annihilation_current(basis, trap, recoil, GEO, 0.0, 0.04, 0.3)

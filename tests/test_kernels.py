@@ -8,8 +8,10 @@ import pytest
 from scipy.integrate import quad
 
 from qfall.errors import DomainError
-from qfall.kernels import (_BLOCK, _CHUNK_ROWS, _SEG_BLOCKS, mode_chirp_sums,
-                           simpson_weights)
+from qfall.freefall import _BARY, _STENCIL
+from qfall.inference import _barycentric_weights
+from qfall.kernels import (_BLOCK, _CHUNK_ROWS, _SEG_BLOCKS, lagrange_weights,
+                           mode_chirp_sums, simpson_weights)
 
 
 def make_problem(n_modes=24, n_z=4097, seed=7, k=9, cuts=None):
@@ -45,6 +47,39 @@ class TestSimpsonWeights:
             simpson_weights(20, 0.1)
         with pytest.raises(DomainError):
             simpson_weights(21, -0.1)
+
+
+def _node_set(name):
+    """Nodes, barycentric weights and test points of the cut's 24-point
+    stencil (read on its centre interval) or of a Lobatto set of the map
+    nodes (read on [-1, 1])."""
+    if name == "stencil":
+        nodes = np.arange(_STENCIL) - 0.5 * (_STENCIL - 1)
+        return nodes, _BARY, np.linspace(-0.5, 0.5, 101)
+    n = int(name[len("lobatto"):]) - 1
+    return (np.cos(np.pi * np.arange(n + 1) / n), _barycentric_weights(n),
+            np.linspace(-1.0, 1.0, 101))
+
+
+@pytest.mark.parametrize("name", ["stencil", "lobatto9", "lobatto17"])
+class TestLagrangeWeights:
+    def test_reproduces_polynomials(self, name):
+        # a polynomial of degree P - 1 is its own interpolant
+        nodes, bary, x = _node_set(name)
+        c = np.random.default_rng(5).standard_normal(nodes.size)
+        scale = np.abs(nodes).max()
+
+        def poly(v):
+            return np.polynomial.polynomial.polyval(v / scale, c)
+
+        got = lagrange_weights(x, nodes, bary) @ poly(nodes)
+        assert np.abs(got - poly(x)).max() \
+            <= 1e-12 * np.abs(poly(nodes)).max()
+
+    def test_node_takes_itself_alone(self, name):
+        nodes, bary, _ = _node_set(name)
+        w = lagrange_weights(nodes, nodes, bary)
+        assert np.array_equal(w, np.eye(nodes.size))
 
 
 def explicit_sums(chi_w, z, idx_cut, alpha, zprime, invtau, gtau,
