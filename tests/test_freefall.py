@@ -726,6 +726,7 @@ class TestDetectorCut:
         rows = _stencil_plan(basis, low, _cut_times(y, T)[1])[-1]
         assert rows.size < y.size * T.size and rows[0] <= 0
         dm = current_map_yt(basis, trap, recoil, low, y, T)
+        assert dm.metadata["n_tau"] == y.size * T.size
         assert dm.metadata["tau_step"] is None
         # the spot builds its mode grid for one fall time, the cut for
         # all 64: they differ in the z quadrature
