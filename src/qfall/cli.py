@@ -82,6 +82,10 @@ def _read_events_csv(path: str) -> EventSet:
                 for name in ("t_s", "T_s", "phi_rad"):
                     if name not in header:
                         raise ConfigError("%s: no %r column" % (where, name))
+                for k, name in enumerate(header):
+                    if name in header[:k]:
+                        raise ConfigError("%s: column %r repeated"
+                                          % (where, name))
                 continue
             tokens = s.split(",")
             if len(tokens) != len(header):
@@ -99,6 +103,11 @@ def _read_events_csv(path: str) -> EventSet:
     if header is None or "n_source" not in meta:
         raise ConfigError("%s is not an event file (missing header or "
                           "n_source)" % path)
+    if not rows:
+        raise ConfigError("%s holds no events" % path)
+    if len(rows) > meta["n_source"]:
+        raise ConfigError("%s: %d events for n_source = %d"
+                          % (path, len(rows), meta["n_source"]))
     arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     cols = {name: arr[:, k] for k, name in enumerate(header)}
     return EventSet(edge_time=cols["t_s"], arrival_time=cols["T_s"],

@@ -24,7 +24,6 @@ _EV = CONSTANTS.electron_volt
 
 UNIT_SCALES = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
-    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9},
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
     "energy": {"J": 1.0, "eV": _EV, "meV": 1e-3 * _EV, "ueV": 1e-6 * _EV,
                "neV": 1e-9 * _EV, "peV": 1e-12 * _EV},
@@ -33,7 +32,7 @@ UNIT_SCALES = {
 }
 
 # canonical suffix used when emitting each dimension in SI
-_BASE_UNIT = {"length": "m", "time": "s", "frequency": "Hz", "energy": "J",
+_BASE_UNIT = {"length": "m", "frequency": "Hz", "energy": "J",
               "velocity": "m/s", "acceleration": "m/s2"}
 
 _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}

@@ -13,10 +13,11 @@ computed by the kernels module.  With the atom landing at radial distance
 rbar after total time T, the time above the disk is t = T d / rbar and the
 fall takes tau = T - t; on a lattice where the t step is an integer multiple
 of the T step, every cell's tau lands on one shared tau lattice and the
-chirp sums are computed once per tau value.  The folded map forms the sums
-a slab of `_SLAB_ROWS` lattice times at a time, the cut and the spot value
-`_RATE_ROWS` cells at a time, and each block is contracted before the next
-is formed, so F and G are never held for the whole lattice.
+chirp sums are computed once per tau value (the folded map writes lattice
+tau k of edge time i to cell (i, i stride + k) by index).  The folded map
+forms the sums a slab of `_SLAB_ROWS` lattice times at a time, the cut and
+the spot value `_RATE_ROWS` cells at a time, and each block is contracted
+before the next is formed, so F and G are never held for the whole lattice.
 
 The cut's cells each have their own fall time, and `_cell_rates` forms
 one kernel row per cell.  With the propagator phase Phi and the energy
@@ -24,7 +25,8 @@ phases removed, A_n = F_n e^{-i Phi} e^{i lambda_n tau / t_g} is smooth in
 tau, so where that takes fewer kernel rows (the 6400 cells of the
 `detector_cut` window, 2165 rows at 300 modes) the cut reads its cells
 from A on a lattice of fall times, five rows per fastest beat, by centred
-24-point Lagrange stencils, within 1e-8 of the map maximum.
+24-point Lagrange stencils, within 1e-8 of the map maximum; one
+`_stencil_plan` serves to choose the path and to read the lattice.
 
 The detector-plane observables come in three forms: `MapMaker.build` (the
 azimuth-integrated (t, T) density used for estimation, with the kick azimuth
@@ -371,9 +373,9 @@ def _demodulated_sums(basis: GQSBasis, grid: ModeGrid,
 
 
 def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
-                        geometry: DiskGeometry, t, tau):
-    """`_cell_rates` read from a lattice of fall times (`_stencil_plan`)
-    whose rows all lie after tau = 0, and {"n_tau": rows, "tau_step": step}.
+                        geometry: DiskGeometry, t, tau, plan):
+    """`_cell_rates` read from the lattice of fall times that `plan`, the
+    `_stencil_plan` of tau, lays out; its rows all lie after tau = 0.
 
     The cells are walked in order of tau.  Each lattice row in some cell's
     stencil is formed once, in calls of `_CHUNK_ROWS` rows, and demodulated
@@ -385,7 +387,7 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
     interpolated sums are phased at t + tau.
     """
     K, N, S = tau.shape[0], coeff.shape[1], _STENCIL
-    step, order, l0, pos, rows = _stencil_plan(basis, geometry, tau)
+    step, order, l0, pos, rows = plan
     tau_s, t_s, n_rows = tau[order], t[order], rows.shape[0]
 
     # A of positions base .. done - 1, F and G as real and imaginary parts
@@ -419,7 +421,7 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
         # freed before the next kernel call
         del wb, A
         k0 = k1
-    return rates, {"n_tau": n_rows, "tau_step": step}
+    return rates
 
 
 def _edge_rates(basis: GQSBasis, coeff: np.ndarray, t: np.ndarray,
@@ -471,16 +473,6 @@ def _clip(density: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # the folded estimation map
-
-def _lattice_band(lattice: np.ndarray, stride: int, width: int) -> np.ndarray:
-    """View (n_t, width) of the cells lattice[i, i stride + k], k < width,
-    of an (n_t, n_T) lattice; writable when the lattice is."""
-    s0, s1 = lattice.strides
-    return np.lib.stride_tricks.as_strided(
-        lattice, shape=(lattice.shape[0], width),
-        strides=(s0 + stride * s1, s1),
-        writeable=lattice.flags.writeable)
-
 
 def cell_masses(density: np.ndarray, cell_area: float) -> np.ndarray:
     """Bilinear mass of each lattice cell, shape (n_t - 1, n_T - 1)."""
@@ -575,14 +567,8 @@ class MapMaker:
         w_A, w_C, kappa = _ring_weights(nodes, self.trap, pd, geom, t)
 
         density = np.zeros((t.shape[0], axes.T.shape[0]))
-        # row i of a band is the cells (i, i stride + k), k < M, of the
-        # lattice: the T of each lattice tau
-        band = _lattice_band(density, axes.stride, M)
-        T_band = _lattice_band(np.broadcast_to(axes.T, density.shape),
-                               axes.stride, M)
         if pd.dipolar:
             ratio = np.zeros(density.shape)
-            ratio_band = _lattice_band(ratio, axes.stride, M)
             concentration = None
         else:
             ratio = None
@@ -590,20 +576,23 @@ class MapMaker:
         # edge times per block: at most _RATE_ROWS evolved overlap rows
         step = max(1, _RATE_ROWS // nodes.u.shape[0])
         for k0 in range(0, M, _SLAB_ROWS):
-            ks = slice(k0, k0 + _SLAB_ROWS)
+            ks = np.arange(k0, min(k0 + _SLAB_ROWS, M))
             F, G = self.mode_grid.fall_sums(basis.scales, geom, tau[ks])
             for i0 in range(0, t.shape[0], step):
                 rows = slice(i0, i0 + step)
+                # lattice tau k of edge time i lies in cell (i, i stride + k)
+                r = np.arange(t.shape[0])[rows, None]
+                cells = (r, r * axes.stride + ks)
                 rate = _edge_rates(basis, coeff, t[rows], F, G, tau[ks])
                 A = np.matmul(w_A[rows, None, :], rate)[:, 0]  # (rows, ks)
                 if pd.dipolar:
                     C = np.matmul(w_C[rows, None, :], rate)[:, 0]
                     with np.errstate(invalid="ignore", divide="ignore"):
-                        ratio_band[rows, ks] = np.clip(np.where(
+                        ratio[cells] = np.clip(np.where(
                             A > 0.0, C / np.maximum(A, 1e-300), 0.0),
                             0.0, 1.0)
-                Tj = T_band[rows, ks]
-                band[rows, ks] = (d * d * Tj * Tj / t[rows, None] ** 3) \
+                Tj = axes.T[cells[1]]
+                density[cells] = (d * d * Tj * Tj / t[rows, None] ** 3) \
                     * (m * m / tau[ks] ** 2) / (dp * dp) * A
             # freed before the next slab's sums are formed
             del F, G
@@ -656,13 +645,14 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
     # a kernel row costs about 4 N J multiply-adds and reading a cell from
     # the lattice under 48 * 4 N: read it where its stencils hold fewer
     # rows than the cut has cells, all after tau = 0
-    rows = _stencil_plan(basis, geometry, tau)[-1]
+    plan = _stencil_plan(basis, geometry, tau)
+    rows = plan[-1]
     if rows.shape[0] < tau.shape[0] and rows[0] > 0:
-        rate, lattice = _lattice_cell_rates(basis, coeff, grid, geometry, t,
-                                            tau)
+        rate = _lattice_cell_rates(basis, coeff, grid, geometry, t, tau, plan)
+        n_tau, tau_step = rows.shape[0], plan[0]
     else:
         rate = _cell_rates(basis, coeff, grid, geometry, t, tau)
-        lattice = {"n_tau": tau.shape[0], "tau_step": None}
+        n_tau, tau_step = tau.shape[0], None
 
     w_A, w_C, kappa = _ring_weights(nodes, trap, photodetach, geometry, t)
     # at X = 0 the detector azimuth is sign(y) pi/2
@@ -682,7 +672,7 @@ def current_map_yt(basis: GQSBasis, trap: TrapConfig,
                * (m * m / tau ** 2) / (2.0 * math.pi * dp * dp)
                ).reshape(tmat.shape)
     meta = {"clipped_mass": _clip(density), "n_z": int(grid.xi.shape[0]),
-            **lattice}
+            "n_tau": n_tau, "tau_step": tau_step}
     return DetectorMap(density=density, metadata=meta)
 
 

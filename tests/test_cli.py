@@ -305,14 +305,25 @@ class TestSimulateEstimate:
          "line 5: t_s = nan is not finite"),
         ("t_s,T_s,phi_rad,rbar_m\n0.05,-inf,1.0,0.3\n",
          "line 4: T_s = -inf is not finite"),
+        ("t_s,T_s,phi_rad,t_s\n0.05,0.3,1.0,0.06\n",
+         "line 3: column 't_s' repeated"),
+        ("t_s,T_s,phi_rad\n", "holds no events"),
+        ("t_s,T_s,phi_rad\n" + "0.05,0.3,1.0\n" * 101,
+         ": 101 events for n_source = 100"),
     ], ids=["missing_column", "short_row", "bad_number", "bad_n_source",
-            "bad_g_true", "nan_time", "inf_arrival"])
-    def test_bad_event_file_refused(self, tmp_path, desk_cfg, body, detail):
+            "bad_g_true", "nan_time", "inf_arrival", "repeated_column",
+            "no_events", "overfull"])
+    def test_bad_event_file_refused(self, monkeypatch, tmp_path, desk_cfg,
+                                    body, detail):
         path = tmp_path / "events.csv"
         path.write_text("# qfall 0.1.0\n# n_source = 100\n" + body)
         out = str(tmp_path / "out")
+        # refused before the map family is set up
+        families = []
+        monkeypatch.setattr(cli, "_family", families.append)
         assert main(["estimate", "--config", desk_cfg, "--out", out,
                      "--events", str(path)]) == 1
+        assert families == []
         error = _manifest(out, "estimate")["error"]
         assert error.startswith("ConfigError: %s" % path)
         assert re.search(detail, error)

@@ -112,8 +112,8 @@ def _close(got, want, rel):
 def _per_cell_cut(monkeypatch, *args):
     """`current_map_yt(*args)` with the direct per-cell sums of
     `_cell_rates` in place of the lattice: the oracle of the lattice cut."""
-    def direct(basis, coeff, grid, geometry, t, tau):
-        return _cell_rates(basis, coeff, grid, geometry, t, tau), {}
+    def direct(basis, coeff, grid, geometry, t, tau, plan):
+        return _cell_rates(basis, coeff, grid, geometry, t, tau)
 
     with monkeypatch.context() as patch:
         patch.setattr(freefall, "_lattice_cell_rates", direct)
@@ -129,9 +129,11 @@ def _cut_times(y, T):
 
 
 def _stencil_rows(basis, tau):
-    """The distinct lattice rows of every fall time's stencil."""
-    l0 = _stencil_plan(basis, GEO, tau)[2]
-    return np.unique(l0[:, None] + np.arange(_STENCIL))
+    """The plan's lattice rows, checked to be the distinct rows of every
+    fall time's stencil."""
+    _, _, l0, _, rows = _stencil_plan(basis, GEO, tau)
+    assert np.array_equal(rows, np.unique(l0[:, None] + np.arange(_STENCIL)))
+    return rows
 
 
 def _counted_kernel(monkeypatch):
@@ -500,15 +502,15 @@ class TestDetectorCut:
         t, tau = _cut_times([0.3], np.linspace(0.29, 0.30, K))
         grid = _build_mode_grid(basis, GEO, (tau.min(), tau.max()),
                                 GridSpec())
+        plan = _stencil_plan(basis, GEO, tau)
+        n_tau = _stencil_rows(basis, tau).size
         calls = _counted_kernel(monkeypatch)
-        rates, lattice = _lattice_cell_rates(basis, coeff, grid, GEO, t, tau)
-        n_tau = lattice["n_tau"]
-        assert n_tau == _stencil_rows(basis, tau).size
+        rates = _lattice_cell_rates(basis, coeff, grid, GEO, t, tau, plan)
         assert calls == [min(_CHUNK_ROWS, n_tau - k0)
                          for k0 in range(0, n_tau, _CHUNK_ROWS)]
         calls.clear()
         monkeypatch.setattr(freefall, "_CHUNK_ROWS", n_tau)
-        whole, _ = _lattice_cell_rates(basis, coeff, grid, GEO, t, tau)
+        whole = _lattice_cell_rates(basis, coeff, grid, GEO, t, tau, plan)
         assert calls == [n_tau]
         assert np.array_equal(rates, whole)
 
@@ -564,7 +566,27 @@ class TestDetectorCut:
                                    T)
             assert np.array_equal(dm.density, direct.density)
 
-    def test_lattice_edge_cases(self, basis, trap, recoil):
+    def test_plans_its_lattice_once(self, monkeypatch, basis, trap, recoil):
+        # the cut forms one stencil plan to choose its path and, on the
+        # lattice path (the criterion-5 window), to read the lattice; the
+        # 15 x 21 window takes the direct sums
+        plans = []
+        plan = freefall._stencil_plan
+
+        def counted(*args):
+            plans.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(freefall, "_stencil_plan", counted)
+        for (y, T), lattice in ((CRITERION_5, True),
+                                ((np.linspace(0.27, 0.34, 15),
+                                  np.linspace(0.285, 0.305, 21)), False)):
+            plans.clear()
+            dm = current_map_yt(basis, trap, recoil, GEO, y, T)
+            assert (dm.metadata["tau_step"] is not None) == lattice
+            assert len(plans) == 1
+
+    def test_lattice_edge_cases(self, monkeypatch, basis, trap, recoil):
         # against the direct sums, within 1e-8 of the largest rate over the
         # detector_cut window (0.236 to 0.258 s, edge times 45 to 55 ms)
         nodes = polar_nodes(recoil)
@@ -590,14 +612,17 @@ class TestDetectorCut:
             "unsorted": (rng.uniform(0.045, 0.055, 80),
                          np.concatenate([spread, spread[::-1]])),
         }
+        calls = _counted_kernel(monkeypatch)
         for name, (t, tau) in cases.items():
             grid = _build_mode_grid(basis, GEO, (tau.min(), tau.max()),
                                     GridSpec())
             want = _cell_rates(basis, coeff, grid, GEO, t, tau)
-            got, lattice = _lattice_cell_rates(basis, coeff, grid, GEO, t,
-                                               tau)
+            calls.clear()
+            got = _lattice_cell_rates(basis, coeff, grid, GEO, t, tau,
+                                      _stencil_plan(basis, GEO, tau))
             assert np.abs(got - want).max() <= 1e-8 * scale, name
-            assert lattice["n_tau"] == _stencil_rows(basis, tau).size, name
+            # every stencil row is formed once
+            assert sum(calls) == _stencil_rows(basis, tau).size, name
         # the node's value is read alone
         tau = cases["node"][1]
         _, order, l0, _, _ = _stencil_plan(basis, GEO, tau)
