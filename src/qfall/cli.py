@@ -72,10 +72,14 @@ def _read_events_csv(path: str) -> EventSet:
                 key, eq, value = (x.strip() for x in s[1:].partition("="))
                 if eq and key in _HEADER_KEYS:
                     try:
-                        meta[key] = _HEADER_KEYS[key](value)
+                        parsed = _HEADER_KEYS[key](value)
                     except ValueError as exc:
                         raise ConfigError("%s: %s: %s"
                                           % (where, key, exc)) from None
+                    if key in meta:
+                        raise ConfigError("%s: header %r repeated"
+                                          % (where, key))
+                    meta[key] = parsed
                 continue
             if header is None:
                 header = [c.strip() for c in s.split(",")]

@@ -87,17 +87,14 @@ def propagator_kernel(z_to, z_from, tau: float,
     return pref * np.exp(1j * (m / hbar) * action)
 
 
-def _chirp_sums(chi_w, z, idx_cut, tau, detector_z, g: float):
-    """F, G of `mode_chirp_sums` for fall times tau to heights detector_z.
-
-    tau and detector_z broadcast to one lattice; the free kernel is taken
-    at the shifted endpoint Z' = Z + g tau^2 / 2.
-    """
+def _fall_lattice(tau, detector_z, g: float):
+    """(alpha, zprime, invtau, gtau) of `mode_chirp_sums` for fall times tau
+    to heights detector_z, broadcast to one lattice; the free kernel is
+    taken at the shifted endpoint Z' = Z + g tau^2 / 2."""
     tau, Z = np.broadcast_arrays(np.asarray(tau, dtype=float),
                                  np.asarray(detector_z, dtype=float))
     alpha = CONSTANTS.atom_mass / (2.0 * CONSTANTS.hbar * tau)
-    return mode_chirp_sums(chi_w, z, idx_cut, alpha, Z + 0.5 * g * tau * tau,
-                           1.0 / tau, g * tau)
+    return alpha, Z + 0.5 * g * tau * tau, 1.0 / tau, g * tau
 
 
 def _profile_sums(z, psi, tau, detector_z, g: float):
@@ -109,9 +106,9 @@ def _profile_sums(z, psi, tau, detector_z, g: float):
         raise DomainError("psi must be sampled on the 1d grid z")
     chi_w = psi * simpson_weights(z.shape[0], float(z[1] - z[0]))
     # the real and imaginary parts ride through as two real rows
-    F, G = _chirp_sums(np.stack([chi_w.real, chi_w.imag]), z,
-                       np.full(2, z.shape[0], dtype=np.int64), tau,
-                       detector_z, g)
+    F, G = mode_chirp_sums(np.stack([chi_w.real, chi_w.imag]), z,
+                           np.full(2, z.shape[0], dtype=np.int64),
+                           *_fall_lattice(tau, detector_z, g))
     return F[:, 0] + 1j * F[:, 1], G[:, 0] + 1j * G[:, 1]
 
 
@@ -160,7 +157,8 @@ class GridSpec:
 
     fringe_samples: float = 5.0       # T samples per fastest mode beat
     t_nodes: int = 56                 # target size of the coarse t axis
-    z_samples: float = 12.0           # samples per shortest z wavelength
+    z_samples: float = 12.0           # Simpson samples per shortest z
+    #                                   wavelength (see `ModeGrid`)
     n_polar: int = DEFAULT_POLAR_NODES  # Gauss-Legendre nodes in the tilt
 
     def __post_init__(self):
@@ -241,21 +239,76 @@ def grid_axes(basis: GQSBasis, trap: TrapConfig,
                     tau_lo=win["tau_lo"], n_tau=n_tau)
 
 
+#: samples per shortest z wavelength of the grid the chirp kernel sums
+_KERNEL_Z_SAMPLES = 2.5
+#: Euler-Maclaurin end terms at the mirror, from Taylor orders below 2 x 16;
+#: against Simpson at `z_samples` 4 and 50 modes, 12 terms leave 3.4e-11 of
+#: max |F| and 16 leave 3.7e-12
+_END_TERMS = 16
+
+
 @dataclass(frozen=True)
 class ModeGrid:
-    """Dimensionless mode samples shared by every gravity value in a scan."""
+    """Dimensionless mode samples shared by every gravity value in a scan.
 
-    xi: np.ndarray       # z / l
+    The sums take the value of composite Simpson's rule on the odd-count
+    grid of `GridSpec.z_samples` samples per shortest wavelength, step h_s,
+    but sum `_KERNEL_Z_SAMPLES` per wavelength, step h.  The modes vanish
+    before the far end, so on that grid the trapezoid rule differs from
+    Simpson's only by end terms at the mirror z = 0 and by aliasing (the
+    sums lie within 4e-12 of max |F| of Simpson's at 50 to 1000 modes):
+
+        S(h_s) = h sum_j f_j + sum_k h B_2k / (2k) [1 + r^2k (4^k - 4) / 3]
+                 f_(2k-1) h^(2k-1),   r = h_s / h,
+
+    f_m the m-th Taylor coefficient of the integrand at 0.  The bracket's
+    first term is the trapezoid rule's own end correction, the second
+    Simpson's, S(h_s) = (4 T(h_s) - T(2 h_s)) / 3.  The integrand's
+    coefficients are products of those of the mode (`taylor`, exact from
+    the Airy equation) and of the chirp, formed per fall time.
+    """
+
+    xi: np.ndarray       # z / l, step h
     chi: np.ndarray      # (n_max, J) Ai(xi - lambda_n) / Ai'(-lambda_n)
-    #                      times the Simpson weights in xi, set at build
+    #                      times h, set at build
     idx_cut: np.ndarray  # per-mode sample count up to the support cut;
     #                      chi is 0.0 from there on
+    taylor: np.ndarray   # (2, P, n_max) coefficient p of chi_n and of
+    #                      xi chi_n at xi = 0, times h^p
+    end_weights: np.ndarray  # (P,) weight of the integrand's scaled
+    #                          coefficient m in the end terms
 
     def fall_sums(self, scales: GravScales, geometry: DiskGeometry, tau):
         """Mode sums F, G, shape (K, n_max), for the fall times tau (K,)."""
         ell = scales.length
-        F, G = _chirp_sums(self.chi, self.xi * ell, self.idx_cut, tau,
-                           -geometry.fall_height, scales.g)
+        alpha, zp, invtau, gtau = _fall_lattice(tau, -geometry.fall_height,
+                                                scales.g)
+        F, G = mode_chirp_sums(self.chi, self.xi * ell, self.idx_cut, alpha,
+                               zp, invtau, gtau)
+        # coefficients q_m h^m of exp(b xi + c xi^2), the chirp over its
+        # value exp(i alpha z'^2) at xi = 0: b = -2i alpha z' l, c = i
+        # alpha l^2, and (m + 1) q_(m+1) = b q_m + 2 c q_(m-1)
+        P, h = self.end_weights.shape[0], self.xi[1]
+        bh = -2j * alpha * zp * (ell * h)
+        ch2 = 2j * alpha * (ell * h) ** 2
+        q = np.empty((alpha.shape[0], P), dtype=np.complex128)
+        q[:, 0], q[:, 1] = 1.0, bh
+        for m in range(1, P - 1):
+            q[:, m + 1] = (bh * q[:, m] + ch2 * q[:, m - 1]) / (m + 1)
+        # weight of the mode's coefficient p: sum_m w_m q_(m-p)
+        hankel = np.append(self.end_weights, np.zeros(P))[
+            np.add.outer(np.arange(P), np.arange(P))]
+        end = q @ hankel
+        # exp(i alpha z'^2) is the kernel's anchor phase at z = 0, reduced
+        # the same way
+        phase = np.mod(alpha.astype(np.longdouble)
+                       * zp.astype(np.longdouble) ** 2, _TWO_PI)
+        end *= np.exp(1j * phase.astype(np.float64))[:, None]
+        F += end @ self.taylor[0]
+        # G = v0 F - H / tau of the kernel, H summing z = l xi
+        G += np.concatenate([(zp * invtau - gtau)[:, None] * end,
+                             -(ell * invtau)[:, None] * end], axis=1) \
+            @ self.taylor.reshape(2 * P, -1)
         F *= math.sqrt(ell)  # the modes' sqrt(l), one scalar per g
         G *= math.sqrt(ell)
         return F, G
@@ -272,18 +325,39 @@ def _build_mode_grid(basis: GQSBasis, geometry: DiskGeometry,
     for tau in tau_window:
         zp = -geometry.fall_height + 0.5 * scales.g * tau * tau
         k_chirp = max(k_chirp, m * (abs(zp) + z_sup) / (hbar * tau))
-    dz = 2.0 * math.pi / (spec.z_samples * (k_mode + k_chirp))
-    count = int(math.ceil(z_sup / dz)) + 1
-    if count % 2 == 0:
-        count += 1
     xi_sup = z_sup / scales.length
+
+    def intervals(samples):
+        return int(math.ceil(
+            z_sup / (2.0 * math.pi / (samples * (k_mode + k_chirp)))))
+    # Simpson's step: an even number of intervals
+    h_s = xi_sup / (2 * -(-intervals(spec.z_samples) // 2))
+    count = intervals(_KERNEL_Z_SAMPLES) + 1
     xi = np.linspace(0.0, xi_sup, count)
+    h = xi[1] - xi[0]
     idx_cut = np.minimum(
         np.searchsorted(xi, basis.table.support, side="right"),
         count).astype(np.int64)
-    chi = _airy_rows(basis.table, [0.0], xi[1] - xi[0], idx_cut, count)[0]
-    chi *= simpson_weights(count, xi[1] - xi[0])
-    return ModeGrid(xi=xi, chi=chi, idx_cut=idx_cut)
+    chi = _airy_rows(basis.table, [0.0], h, idx_cut, count)[0]
+    chi *= h
+    # Ai(-lam) = 0, and y'' = (xi - lam) y gives (p + 2)(p + 1) a_(p+2) =
+    # -lam h^2 a_p + h^3 a_(p-1) for a_p = y_p h^p / Ai'(-lam)
+    lam, P = basis.table.values, 2 * _END_TERMS
+    taylor = np.zeros((2, P, lam.shape[0]))
+    a = taylor[0]
+    a[1] = h
+    for p in range(P - 2):
+        a[p + 2] = -lam * h * h * a[p]
+        if p:
+            a[p + 2] += h ** 3 * a[p - 1]
+        a[p + 2] /= (p + 2) * (p + 1)
+    taylor[1, 1:] = h * a[:-1]
+    k = np.arange(1, _END_TERMS + 1)
+    end_weights = np.zeros(P)
+    end_weights[1::2] = h * sps.bernoulli(P)[2 * k] / (2 * k) * (
+        1.0 + (h_s / h) ** (2 * k) * (4.0 ** k - 4.0) / 3.0)
+    return ModeGrid(xi=xi, chi=chi, idx_cut=idx_cut, taylor=taylor,
+                    end_weights=end_weights)
 
 
 #: cells per block of the per-cell sums and of the cut's interpolation,

@@ -310,9 +310,13 @@ class TestSimulateEstimate:
         ("t_s,T_s,phi_rad\n", "holds no events"),
         ("t_s,T_s,phi_rad\n" + "0.05,0.3,1.0\n" * 101,
          ": 101 events for n_source = 100"),
+        ("# n_source = 5\nt_s,T_s,phi_rad\n0.05,0.3,1.0\n",
+         "line 3: header 'n_source' repeated"),
+        ("# g_true = 9.8\n# g_true = 9.81\nt_s,T_s,phi_rad\n0.05,0.3,1.0\n",
+         "line 4: header 'g_true' repeated"),
     ], ids=["missing_column", "short_row", "bad_number", "bad_n_source",
             "bad_g_true", "nan_time", "inf_arrival", "repeated_column",
-            "no_events", "overfull"])
+            "no_events", "overfull", "repeated_n_source", "repeated_g_true"])
     def test_bad_event_file_refused(self, monkeypatch, tmp_path, desk_cfg,
                                     body, detail):
         path = tmp_path / "events.csv"

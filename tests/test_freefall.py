@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from qfall.airy import eigenfunction, eigenfunction_matrix, momentum_matrix
+from qfall.airy import (_airy_rows, eigenfunction, eigenfunction_matrix,
+                        momentum_matrix)
 from qfall.errors import ConfigError, DomainError
 import qfall.freefall as freefall
 from qfall.freefall import (_BARY, _RATE_ROWS, _SLAB_ROWS, _STENCIL,
@@ -304,11 +305,11 @@ class TestFoldedMap:
         # its cut and otherwise sums its row through, so each mode's support
         # cut must be carried by zeros in its chi row; rows are evaluated
         # only up to the cut, where they match the full mode matrix times
-        # the Simpson weights to 1e-12 of each row's maximum
+        # the trapezoid weight h to 1e-12 of each row's maximum
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
-        full = eigenfunction_matrix(basis.table, grid.xi) * simpson_weights(
-            grid.xi.shape[0], grid.xi[1] - grid.xi[0])
+        full = eigenfunction_matrix(basis.table, grid.xi) * (
+            grid.xi[1] - grid.xi[0])
         assert grid.idx_cut.min() < grid.xi.shape[0]
         for n, cut in enumerate(grid.idx_cut):
             assert grid.chi[n, :cut].any()
@@ -319,17 +320,82 @@ class TestFoldedMap:
     @pytest.mark.parametrize("z_samples", [2.0, 4.0, 12.0])
     def test_mode_grid_matches_scipy_rows(self, trap, recoil, z_samples):
         # the 300-mode grid's shifted rows against one scipy call per row
-        # times the Simpson weights, up to each support cut
+        # times the trapezoid weight h, up to each support cut
         basis = build_basis(300)
         tau = grid_axes(basis, trap, recoil, GEO).tau_values
         grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]),
                                 GridSpec(z_samples=z_samples))
-        w = simpson_weights(grid.xi.shape[0], grid.xi[1] - grid.xi[0])
+        h = grid.xi[1] - grid.xi[0]
         for n, cut in enumerate(grid.idx_cut):
             want = (sps.airy(grid.xi[:cut] - basis.table.values[n])[0]
-                    / basis.table.ai_prime[n]) * w[:cut]
+                    / basis.table.ai_prime[n]) * h
             err = np.max(np.abs(grid.chi[n, :cut] - want))
             assert err <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_max", [N_DESK, 300])
+    @pytest.mark.parametrize("z_samples", [4.0, 12.0, 24.0])
+    def test_fall_sums_keep_simpson(self, trap, recoil, n_max, z_samples):
+        # the trapezoid grid with its end terms at z = 0 gives composite
+        # Simpson's value on the odd-count grid that z_samples sizes,
+        # Simpson's own h^4 end error included: explicit sums of scipy rows
+        # times the Simpson weights, with phases reduced in extended
+        # precision, on fall times across the folded window and the
+        # criterion-5 cut, within 2e-11 of max |F| and max |G|
+        basis = build_basis(n_max)
+        folded = grid_axes(basis, trap, recoil, GEO).tau_values
+        cut = _cut_times(*CRITERION_5)[1]
+        tau = np.concatenate([np.linspace(folded[0], folded[-1], 9),
+                              np.linspace(cut.min(), cut.max(), 5)])
+        ends = (tau.min(), tau.max())
+        grid = _build_mode_grid(basis, GEO, ends,
+                                GridSpec(z_samples=z_samples))
+        F, G = grid.fall_sums(basis.scales, GEO, tau)
+
+        sc, m, hbar = basis.scales, CONSTANTS.atom_mass, CONSTANTS.hbar
+        k_chirp = max(m * (abs(0.5 * sc.g * t * t - GEO.fall_height)
+                           + basis.z_max) / (hbar * t) for t in ends)
+        dz = 2 * math.pi / (z_samples * (math.sqrt(basis.lam_max) / sc.length
+                                         + k_chirp))
+        count = int(math.ceil(basis.z_max / dz)) + 1
+        count += 1 - count % 2
+        z = np.linspace(0.0, basis.z_max, count)
+        cuts = np.searchsorted(z / sc.length, basis.table.support,
+                               side="right")
+        chi = np.zeros((n_max, count))
+        for n in range(n_max):
+            chi[n, :cuts[n]] = sps.airy(z[:cuts[n]] / sc.length
+                                        - basis.table.values[n])[0] \
+                / basis.table.ai_prime[n]
+        chi *= simpson_weights(count, z[1] - z[0]) / math.sqrt(sc.length)
+        zp = 0.5 * sc.g * tau * tau - GEO.fall_height
+        u = zp.astype(np.longdouble)[:, None] - z.astype(np.longdouble)
+        alpha = (m / (2 * hbar * tau)).astype(np.longdouble)[:, None]
+        e = np.exp(1j * np.mod(alpha * u * u, 2 * np.arccos(
+            np.longdouble(-1)))).astype(np.complex128)
+        want_F = e @ chi.T
+        want_G = (e * (u.astype(float) / tau[:, None] - sc.g * tau[:, None])
+                  ) @ chi.T
+        assert np.abs(F - want_F).max() <= 2e-11 * np.abs(want_F).max()
+        assert np.abs(G - want_G).max() <= 2e-11 * np.abs(want_G).max()
+
+    def test_taylor_table_matches_rows(self, trap, recoil):
+        # the stored coefficients of chi_n and xi chi_n at xi = 0, summed
+        # as polynomials in j, give the grid's rows at xi = j h on the
+        # first grid points, to 1e-12 of each row's maximum
+        basis = build_basis(300)
+        tau = grid_axes(basis, trap, recoil, GEO).tau_values
+        grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]), GridSpec())
+        h = grid.xi[1] - grid.xi[0]
+        j = np.arange(3)
+        powers = j[:, None] ** np.arange(grid.taylor.shape[1])
+        rows = _airy_rows(basis.table, [0.0], h, grid.idx_cut,
+                          grid.xi.shape[0])[0]
+        for n in (0, 1, 49, 150, 299):
+            scale = np.abs(rows[n]).max()
+            assert np.abs(powers @ grid.taylor[0, :, n]
+                          - rows[n, :3]).max() <= 1e-12 * scale
+            assert np.abs(powers @ grid.taylor[1, :, n]
+                          - grid.xi[:3] * rows[n, :3]).max() <= 1e-12 * scale
 
     def test_fall_sums_make_no_copy_of_the_mode_matrix(self, trap, recoil):
         # the grid's chi is already weighted and the kernel multiplies it
