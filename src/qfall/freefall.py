@@ -37,13 +37,16 @@ directions, kept as an independent cross-check of the folded assembly).
 All three take their recoil nodes from `source.polar_nodes` and their mode
 sums from `ModeGrid.fall_sums`.  On the cut and the spot every cell has its
 own edge time, so `_phased_rates` applies each cell's mode phases to its
-F and G, or to its A read from the lattice; on the folded map an edge
-time holds for every row, so `_edge_rates` phases the overlaps of a block
-of edge times and multiplies them with F and G in one product.
-The folded map and the cut share their landing weights (`_ring_weights`;
-the cut is the folded azimuth law at the detector azimuth) and one
-`_clip`.  The spot value keeps explicit Gaussians, with kick directions and
-dipole weights from `source.recoil_quadrature`.
+F and G, or to its A read from the lattice, where the phases are formed
+once per distinct arrival time t + tau; on the folded map an edge time
+holds for every row, so `_edge_rates` phases the overlaps of a block of
+edge times and multiplies them with F and G in one product, taking only
+the (edge time, recoil node) rows whose landing weight is live
+(`_assembly_blocks`, laid out once per `MapMaker`).  The folded map and
+the cut share their landing weights (`_ring_weights`, formed once per
+distinct qbar; the cut is the folded azimuth law at the detector azimuth)
+and one `_clip`.  The spot value keeps explicit Gaussians, with kick
+directions and dipole weights from `source.recoil_quadrature`.
 """
 
 from __future__ import annotations
@@ -367,6 +370,10 @@ _RATE_ROWS = 128
 #: time; a multiple of the kernel's chunk, so that every chunk sees the
 #: rows it would see on the whole lattice
 _SLAB_ROWS = 512
+#: share of its largest value below which a ring weight w_A or w_C leaves
+#: its (edge time, recoil node) row out of the folded map's products; 28 %
+#: of the rows lie below it at 50 to 1000 modes
+_LIVE_WEIGHT = 1e-16
 #: rows of the cut's fall-time lattice per fastest beat in its window
 _LATTICE_SAMPLES = 5.0
 #: nodes of the centred Lagrange stencil that reads a cut cell from the
@@ -378,12 +385,12 @@ _BARY = np.array([(-1) ** j * math.comb(_STENCIL - 1, j)
                   for j in range(_STENCIL)], dtype=float)
 
 
-def _phased_rates(basis: GQSBasis, coeff: np.ndarray, F: np.ndarray,
-                  G: np.ndarray, t, tau) -> np.ndarray:
+def _phased_rates(coeff: np.ndarray, F: np.ndarray, G: np.ndarray,
+                  phases: np.ndarray, tau) -> np.ndarray:
     """Detection rate per recoil node, -(m / 2 pi hbar tau) Re(conj(SF)
-    SG), (K, n_u), of K cells' sums F, G (K, N), phased in place: SF = sum_n
-    c~_n F_n, c~ the overlaps `coeff` (n_u, N) evolved over each cell's t."""
-    phases = mode_phases(basis, t[:, None])
+    SG), (K, n_u), of K cells' sums F, G (K, N), phased in place by each
+    cell's mode phase factors `phases` (K, N): SF = sum_n c~_n F_n, c~ the
+    overlaps `coeff` (n_u, N) evolved over the cell's t."""
     np.multiply(F, phases, out=F)
     np.multiply(phases, G, out=G)
     return _product_rate(F @ coeff.T, G @ coeff.T, tau[:, None])
@@ -398,7 +405,8 @@ def _cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
     for k0 in range(0, t.shape[0], _RATE_ROWS):
         sl = slice(k0, k0 + _RATE_ROWS)
         F, G = grid.fall_sums(basis.scales, geometry, tau[sl])
-        rates[sl] = _phased_rates(basis, coeff, F, G, t[sl], tau[sl])
+        rates[sl] = _phased_rates(coeff, F, G, mode_phases(basis, t[sl, None]),
+                                  tau[sl])
         # freed before the next block's sums are formed
         del F, G
     return rates
@@ -446,6 +454,13 @@ def _demodulated_sums(basis: GQSBasis, grid: ModeGrid,
     return np.stack([F, G], axis=1)
 
 
+def _distinct_phases(basis: GQSBasis, times: np.ndarray):
+    """(phases, which): the mode phase factors of each distinct value of
+    `times`, one row each, and the row of every time."""
+    distinct, which = np.unique(times, return_inverse=True)
+    return mode_phases(basis, distinct[:, None]), which
+
+
 def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
                         geometry: DiskGeometry, t, tau, plan):
     """`_cell_rates` read from the lattice of fall times that `plan`, the
@@ -458,11 +473,14 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
     inside the first one's is interpolated by one real product of its
     weights with the window.  Since SF = e^{i Phi} sum_n c_n e^{-i lambda_n
     (t + tau) / t_g} A_n and e^{i Phi} cancels in Re(conj(SF) SG), the
-    interpolated sums are phased at t + tau.
+    interpolated sums are phased at t + tau.  On a cut t + tau is T up to
+    rounding, so its distinct values are few, and each one's phase factors
+    are formed once.
     """
     K, N, S = tau.shape[0], coeff.shape[1], _STENCIL
     step, order, l0, pos, rows = plan
     tau_s, t_s, n_rows = tau[order], t[order], rows.shape[0]
+    phases, which = _distinct_phases(basis, t_s + tau_s)
 
     # A of positions base .. done - 1, F and G as real and imaginary parts
     window = np.empty((0, 4 * N))
@@ -490,8 +508,8 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
            + np.arange(S)] = lagrange_weights(tau_s[blk], nodes, _BARY)
         A = (wb @ window[p0 - base:p1 - base]).view(np.complex128).reshape(
             k1 - k0, 2, N)
-        rates[order[blk]] = _phased_rates(basis, coeff, A[:, 0], A[:, 1],
-                                          t_s[blk] + tau_s[blk], tau_s[blk])
+        rates[order[blk]] = _phased_rates(coeff, A[:, 0], A[:, 1],
+                                          phases[which[blk]], tau_s[blk])
         # freed before the next kernel call
         del wb, A
         k0 = k1
@@ -499,14 +517,15 @@ def _lattice_cell_rates(basis: GQSBasis, coeff: np.ndarray, grid: ModeGrid,
 
 
 def _edge_rates(basis: GQSBasis, coeff: np.ndarray, t: np.ndarray,
-                F: np.ndarray, G: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Detection rate per recoil node, (E, n_u, K), of the K fall times of
-    F and G at E edge times t shared by every row: the E evolved overlap
-    sets are stacked into one product with F and one with G."""
-    ctil = coeff * mode_phases(basis, t[:, None, None])
-    ctil = ctil.reshape(-1, coeff.shape[1])
-    rates = _product_rate(ctil @ F.T, ctil @ G.T, tau)
-    return rates.reshape(t.shape[0], coeff.shape[0], -1)
+                live: np.ndarray, F: np.ndarray, G: np.ndarray,
+                tau: np.ndarray) -> np.ndarray:
+    """Detection rate, (R, K), of the K fall times of F and G for the R
+    (edge time, recoil node) rows that the mask `live` (E, n_u) keeps, in
+    row-major order, at E edge times t shared by every fall time: the
+    evolved overlaps of those rows are stacked into one product with F and
+    one with G."""
+    ctil = (coeff * mode_phases(basis, t[:, None, None]))[live]
+    return _product_rate(ctil @ F.T, ctil @ G.T, tau)
 
 
 def _product_rate(SF: np.ndarray, SG: np.ndarray, tau) -> np.ndarray:
@@ -529,11 +548,42 @@ def _ring_weights(nodes: PolarNodes, trap: TrapConfig,
     dp = trap.momentum_spread
     qbar = photodetach.recoil_momentum * np.sqrt(
         np.maximum(0.0, 1.0 - nodes.u ** 2))
+    # the nodes at +u and -u share qbar bit for bit, so each Gaussian and
+    # Bessel factor is formed once per distinct qbar and gathered
+    qbar, ring = np.unique(qbar, return_inverse=True)
     pbar = CONSTANTS.atom_mass * geometry.travel_distance / t
     kappa = np.outer(pbar, qbar) / (dp * dp)
-    gauss = np.exp(-(pbar[:, None] - qbar) ** 2 / (2.0 * dp * dp))
-    return (nodes.w_even * gauss * sps.ive(0, kappa),
-            nodes.w_cos2 * gauss * sps.ive(2, kappa), kappa)
+    gauss = np.exp(-(pbar[:, None] - qbar) ** 2 / (2.0 * dp * dp))[:, ring]
+    return (nodes.w_even * gauss * sps.ive(0, kappa)[:, ring],
+            nodes.w_cos2 * gauss * sps.ive(2, kappa)[:, ring],
+            kappa[:, ring])
+
+
+def _assembly_blocks(w_A: np.ndarray, w_C: np.ndarray) -> list:
+    """The folded map's product blocks, each (edges, live, W): whole edge
+    times `edges` (E,) holding at most `_RATE_ROWS` live rows between them
+    (an edge time with more is a block alone), the mask `live` (E, n_u) of
+    their rows and the weights W (2, E, R) of w_A and w_C that contract the
+    R live rows to their edge times.  A row is live when w_A or w_C is
+    above `_LIVE_WEIGHT` of its largest value; the rest are never formed."""
+    live = (w_A > _LIVE_WEIGHT * w_A.max()) \
+        | (np.abs(w_C) > _LIVE_WEIGHT * np.abs(w_C).max())
+    count = live.sum(axis=1)
+    groups, rows = [], 0
+    for i in np.flatnonzero(count):
+        if not groups or rows + count[i] > _RATE_ROWS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(i)
+        rows += count[i]
+    blocks = []
+    for edges in map(np.asarray, groups):
+        mask = live[edges]
+        e = np.nonzero(mask)[0]
+        W = np.zeros((2, edges.size, e.size))
+        W[:, e, np.arange(e.size)] = w_A[edges][mask], w_C[edges][mask]
+        blocks.append((edges, mask, W))
+    return blocks
 
 
 def _clip(density: np.ndarray) -> float:
@@ -603,8 +653,10 @@ class MapMaker:
     """Builds folded maps for many gravity values on one fixed lattice.
 
     The lattice, the zero table, and the dimensionless mode samples are
-    derived once at the reference gravity; `build(g)` recomputes only the
-    SI-dependent pieces (scales, overlaps, chirp tables, Bessel weights).
+    derived once at the reference gravity, and the landing weights with
+    their product blocks once at the first build (`assembly`), as none
+    depends on g; `build(g)` recomputes only the SI-dependent pieces
+    (scales, overlaps, chirp tables).
     """
 
     def __init__(self, n_max: int, trap: TrapConfig,
@@ -620,6 +672,15 @@ class MapMaker:
         tau_vals = self.axes.tau_values
         self.mode_grid = _build_mode_grid(self.basis0, geometry,
                                           (tau_vals[0], tau_vals[-1]), spec)
+
+    @cached_property
+    def assembly(self) -> tuple:
+        """(blocks, kappa): the `_assembly_blocks` of the ring weights and
+        the kick's concentration kappa per edge time."""
+        w_A, w_C, kappa = _ring_weights(self.nodes, self.trap,
+                                        self.photodetach, self.geometry,
+                                        self.axes.t)
+        return _assembly_blocks(w_A, w_C), kappa[:, 0]
 
     def build(self, g: float) -> FoldedMap:
         axes = self.axes
@@ -638,7 +699,7 @@ class MapMaker:
         M = axes.n_tau
         dp = self.trap.momentum_spread
         d = geom.travel_distance
-        w_A, w_C, kappa = _ring_weights(nodes, self.trap, pd, geom, t)
+        blocks, kappa = self.assembly
 
         density = np.zeros((t.shape[0], axes.T.shape[0]))
         if pd.dipolar:
@@ -646,27 +707,24 @@ class MapMaker:
             concentration = None
         else:
             ratio = None
-            concentration = kappa[:, 0].copy()
-        # edge times per block: at most _RATE_ROWS evolved overlap rows
-        step = max(1, _RATE_ROWS // nodes.u.shape[0])
+            concentration = kappa.copy()
         for k0 in range(0, M, _SLAB_ROWS):
             ks = np.arange(k0, min(k0 + _SLAB_ROWS, M))
             F, G = self.mode_grid.fall_sums(basis.scales, geom, tau[ks])
-            for i0 in range(0, t.shape[0], step):
-                rows = slice(i0, i0 + step)
+            for edges, live, W in blocks:
                 # lattice tau k of edge time i lies in cell (i, i stride + k)
-                r = np.arange(t.shape[0])[rows, None]
+                r = edges[:, None]
                 cells = (r, r * axes.stride + ks)
-                rate = _edge_rates(basis, coeff, t[rows], F, G, tau[ks])
-                A = np.matmul(w_A[rows, None, :], rate)[:, 0]  # (rows, ks)
+                # (edges, ks) each; the rates are freed here
+                A, C = W @ _edge_rates(basis, coeff, t[edges], live, F, G,
+                                       tau[ks])
                 if pd.dipolar:
-                    C = np.matmul(w_C[rows, None, :], rate)[:, 0]
                     with np.errstate(invalid="ignore", divide="ignore"):
                         ratio[cells] = np.clip(np.where(
                             A > 0.0, C / np.maximum(A, 1e-300), 0.0),
                             0.0, 1.0)
                 Tj = axes.T[cells[1]]
-                density[cells] = (d * d * Tj * Tj / t[rows, None] ** 3) \
+                density[cells] = (d * d * Tj * Tj / t[r] ** 3) \
                     * (m * m / tau[ks] ** 2) / (dp * dp) * A
             # freed before the next slab's sums are formed
             del F, G

@@ -25,13 +25,15 @@ def bisection_zeros(count, digits=20):
         lo = 0.5 * (guesses[n - 2] + guesses[n - 1]) if n > 1 else 1.0
         hi = 0.5 * (guesses[n - 1] + guesses[n])
         f = lambda x: mpmath.airyai(-x)
-        assert f(lo) * f(hi) < 0
+        f_lo = f(lo)
+        assert f_lo * f(hi) < 0
         for _ in range(80):
             mid = (lo + hi) / 2
-            if f(lo) * f(mid) <= 0:
+            f_mid = f(mid)
+            if f_lo * f_mid <= 0:
                 hi = mid
             else:
-                lo = mid
+                lo, f_lo = mid, f_mid
         out.append(float((lo + hi) / 2))
     return np.array(out)
 

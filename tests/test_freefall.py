@@ -16,10 +16,11 @@ from qfall.airy import (_airy_rows, eigenfunction, eigenfunction_matrix,
                         momentum_matrix)
 from qfall.errors import ConfigError, DomainError
 import qfall.freefall as freefall
-from qfall.freefall import (_BARY, _RATE_ROWS, _SLAB_ROWS, _STENCIL,
-                            GridSpec, MapMaker, _build_mode_grid,
+from qfall.freefall import (_BARY, _LIVE_WEIGHT, _RATE_ROWS, _SLAB_ROWS,
+                            _STENCIL, GridSpec, MapMaker, _build_mode_grid,
                             _cell_rates, _edge_rates, _lattice_cell_rates,
-                            _stencil_plan, annihilation_current,
+                            _ring_weights, _stencil_plan,
+                            annihilation_current,
                             current_map_yt, fall_windows, grid_axes,
                             plane_current, propagate_profile,
                             propagator_kernel)
@@ -104,6 +105,61 @@ def _per_edge_time_assembly(maker, g):
             / (dp * dp) * A
         density[i, block] = np.maximum(P, 0.0)
     return density, ratio, concentration
+
+
+def _per_ring_weights(nodes, trap, pd, t):
+    """w_A, w_C and kappa of `_ring_weights`, (K, n_u), formed one recoil
+    node at a time: the reference for its distinct-qbar evaluation."""
+    m, dp = CONSTANTS.atom_mass, trap.momentum_spread
+    pbar = m * GEO.travel_distance / t
+    cols = []
+    for u, w_even, w_cos2 in zip(nodes.u, nodes.w_even, nodes.w_cos2):
+        qbar = pd.recoil_momentum * np.sqrt(np.maximum(0.0, 1.0 - u ** 2))
+        kappa = pbar * qbar / (dp * dp)
+        gauss = np.exp(-(pbar - qbar) ** 2 / (2.0 * dp * dp))
+        cols.append((w_even * gauss * sps.ive(0, kappa),
+                     w_cos2 * gauss * sps.ive(2, kappa), kappa))
+    return tuple(np.stack(c, axis=1) for c in zip(*cols))
+
+
+def _all_ring_assembly(maker, g):
+    """Density, azimuth ratio and concentration of `maker.build(g)` with
+    every (edge time, recoil node) row formed: the slabs of `_SLAB_ROWS`
+    lattice times and blocks of `_RATE_ROWS // n_u` whole edge times, each
+    edge time's rows contracted with its own ring weights."""
+    axes, nodes = maker.axes, maker.nodes
+    pd, trap = maker.photodetach, maker.trap
+    m, dp, d = CONSTANTS.atom_mass, trap.momentum_spread, GEO.travel_distance
+    basis = build_basis(maker.basis0.n_max, g, table=maker.basis0.table)
+    coeff = overlap_matrix(basis, GEO.release_height, trap.width,
+                           pd.recoil_momentum * nodes.u)
+    t, tau, M = axes.t, axes.tau_values, axes.n_tau
+    w_A, w_C, kappa = _per_ring_weights(nodes, trap, pd, t)
+    density = np.zeros((t.shape[0], axes.T.shape[0]))
+    ratio = np.zeros(density.shape)
+    step = max(1, _RATE_ROWS // nodes.u.shape[0])
+    for k0 in range(0, M, _SLAB_ROWS):
+        ks = np.arange(k0, min(k0 + _SLAB_ROWS, M))
+        F, G = maker.mode_grid.fall_sums(basis.scales, GEO, tau[ks])
+        for i0 in range(0, t.shape[0], step):
+            r = np.arange(i0, min(i0 + step, t.shape[0]))[:, None]
+            cells = (r, r * axes.stride + ks)
+            ctil = (coeff * mode_phases(basis, t[r][:, :, None])).reshape(
+                -1, coeff.shape[1])
+            SF, SG = ctil @ F.T, ctil @ G.T
+            rate = ((SF.real * SG.real + SF.imag * SG.imag)
+                    * (-(m / (2.0 * math.pi * CONSTANTS.hbar))
+                       * (1.0 / tau[ks]))).reshape(r.shape[0],
+                                                   nodes.u.shape[0], -1)
+            A = np.matmul(w_A[r], rate)[:, 0]
+            C = np.matmul(w_C[r], rate)[:, 0]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio[cells] = np.clip(np.where(
+                    A > 0.0, C / np.maximum(A, 1e-300), 0.0), 0.0, 1.0)
+            Tj = axes.T[cells[1]]
+            density[cells] = (d * d * Tj * Tj / t[r] ** 3) \
+                * (m * m / tau[ks] ** 2) / (dp * dp) * A
+    return np.maximum(density, 0.0), ratio, kappa[:, 0]
 
 
 def _close(got, want, rel):
@@ -464,8 +520,8 @@ class TestFoldedMap:
         kick = build_photodetach(0.0, kick_velocity=0.9)
         for pd in (recoil, kick):
             maker = MapMaker(N_DESK, trap, pd, GEO)
-            step = _RATE_ROWS // maker.nodes.u.shape[0]
-            assert maker.axes.t.shape[0] % step != 0
+            rows = [W.shape[2] for _, _, W in maker.assembly[0]]
+            assert rows[-1] < min(rows[:-1], default=_RATE_ROWS)
             fm = maker.build(G_DEFAULT)
             density, ratio, concentration = _per_edge_time_assembly(
                 maker, G_DEFAULT)
@@ -474,6 +530,73 @@ class TestFoldedMap:
                 assert _close(fm.azimuth_ratio, ratio, 1e-14)
             else:
                 assert _close(fm.concentration, concentration, 1e-14)
+
+    def test_ring_weights_per_distinct_qbar(self, trap, recoil):
+        # the nodes at +u and -u share qbar, so the Gaussian and Bessel
+        # factors are formed once per distinct qbar: 12 of 24 nodes, 12 of
+        # 23 (one node at u = 0) and 1 of the tilted kick's 1, all bitwise
+        # the per-node values, over the desk lattice's edge times and the
+        # criterion-5 cut's
+        maker = MapMaker(N_DESK, trap, recoil, GEO)
+        t = np.concatenate([maker.axes.t, _cut_times(*CRITERION_5)[0]])
+        tilted = build_photodetach(0.0, kick_velocity=0.9,
+                                   polarization=(0.0, 1.0, 1.0))
+        for pd, n_polar, distinct in ((recoil, 24, 12), (recoil, 23, 12),
+                                      (tilted, 24, 1)):
+            nodes = polar_nodes(pd, n_polar, folded=True)
+            assert np.unique(1.0 - nodes.u ** 2).size == distinct
+            assert 0.0 < nodes.u.max() and (pd.dipolar or nodes.u.size == 1)
+            got = _ring_weights(nodes, trap, pd, GEO, t)
+            for g, w in zip(got, _per_ring_weights(nodes, trap, pd, t)):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n_max", [N_DESK, 300])
+    def test_live_rings_match_all_ring_assembly(self, trap, recoil, n_max):
+        # the build forms only the rows whose ring weight w_A or w_C is
+        # above _LIVE_WEIGHT of its largest value (72 % of them), so the
+        # dipole map moves by its roundoff against forming every row; the
+        # kick's one ring per edge time is always live, and its map is
+        # bitwise the same
+        kick = build_photodetach(0.0, kick_velocity=0.9)
+        for pd in (recoil, kick):
+            maker = MapMaker(n_max, trap, pd, GEO)
+            live = sum(int(mask.sum()) for _, mask, _ in maker.assembly[0])
+            n_rows = maker.axes.t.shape[0] * maker.nodes.u.shape[0]
+            fm = maker.build(G_DEFAULT)
+            density, ratio, concentration = _all_ring_assembly(maker,
+                                                               G_DEFAULT)
+            if pd.dipolar:
+                assert 0.6 * n_rows < live < 0.8 * n_rows
+                assert _close(fm.density, density, 1e-14)
+                assert np.abs(fm.azimuth_ratio - ratio).max() \
+                    <= 1e-14 * ratio.max()
+            else:
+                assert live == n_rows
+                assert np.array_equal(fm.density, density)
+                assert np.array_equal(fm.concentration, concentration)
+
+    def test_dead_rings_fall_below_the_live_weight(self, trap, recoil):
+        # each block's rows are its edge times' live rows in row-major
+        # order, weighted by w_A and w_C in their edge time's row only;
+        # every row left out is below _LIVE_WEIGHT in both weights
+        maker = MapMaker(N_DESK, trap, recoil, GEO)
+        w_A, w_C, _ = _per_ring_weights(maker.nodes, trap, recoil,
+                                        maker.axes.t)
+        seen = np.zeros(w_A.shape, dtype=bool)
+        for edges, mask, W in maker.assembly[0]:
+            assert np.array_equal(edges, np.sort(edges))
+            assert W.shape[2] <= _RATE_ROWS
+            e, u = np.nonzero(mask)
+            assert np.array_equal(W[0, e, np.arange(e.size)],
+                                  w_A[edges[e], u])
+            assert np.array_equal(W[1, e, np.arange(e.size)],
+                                  w_C[edges[e], u])
+            assert np.count_nonzero(W[0]) == e.size
+            seen[edges] = mask
+        assert np.all(w_A[~seen] <= _LIVE_WEIGHT * w_A.max())
+        assert np.all(np.abs(w_C[~seen]) <= _LIVE_WEIGHT
+                      * np.abs(w_C).max())
+        assert np.all(seen.any(axis=1))
 
     def test_slabbed_map_equals_whole_lattice(self, monkeypatch, trap,
                                              recoil):
@@ -523,13 +646,20 @@ class TestDetectorCut:
             grid = _build_mode_grid(basis, GEO, (tau[0], tau[-1]),
                                     GridSpec())
             F, G = grid.fall_sums(basis.scales, GEO, tau)
-            shared = _edge_rates(basis, coeff, np.asarray([t]), F, G, tau)
+            every = np.ones((1, nodes.u.shape[0]), dtype=bool)
+            shared = _edge_rates(basis, coeff, np.asarray([t]), every, F, G,
+                                 tau)
             per_cell = _cell_rates(basis, coeff, grid, GEO, np.full(K, t),
                                    tau)
-            assert shared.shape == (1, nodes.u.shape[0], K)
+            assert shared.shape == (nodes.u.shape[0], K)
             assert per_cell.shape == (K, nodes.u.shape[0])
-            assert np.abs(per_cell.T - shared[0]).max() \
+            assert np.abs(per_cell.T - shared).max() \
                 < 1e-13 * np.abs(shared).max()
+            # a mask keeps its rows, in row-major order
+            some = every.copy()
+            some[0, ::3] = False
+            kept = _edge_rates(basis, coeff, np.asarray([t]), some, F, G, tau)
+            assert np.array_equal(kept, shared[some[0]])
 
     def test_per_row_rates_stay_below_the_size_of_F(self, trap, recoil):
         # the per-cell step forms, phases and contracts the sums a block of
@@ -606,6 +736,33 @@ class TestDetectorCut:
                 # negative y reads the radius |y|
                 minus = current_map_yt(b, trap, pd, GEO, -y, T)
                 assert np.array_equal(minus.density, dm.density)
+
+    def test_distinct_phases_equal_per_cell_phases(self, monkeypatch, trap,
+                                                   recoil):
+        # the lattice reader forms the phase factors of each distinct t +
+        # tau once (a few hundred of the detector_cut window's 6400 cells);
+        # with one row formed per cell the window is bitwise the same
+        large = build_basis(300)
+        formed = []
+
+        def per_cell(basis, times):
+            formed.append(times.shape[0])
+            return mode_phases(basis, times[:, None]), np.arange(times.size)
+
+        args = (large, trap, recoil, GEO) + CRITERION_5
+        distinct = freefall._distinct_phases
+        t, tau = _cut_times(*CRITERION_5)
+        phases, which = distinct(large, t + tau)
+        assert phases.shape[0] < 0.05 * t.size
+        assert np.array_equal(phases[which],
+                              mode_phases(large, (t + tau)[:, None]))
+        dm = current_map_yt(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(freefall, "_distinct_phases", per_cell)
+            direct = current_map_yt(*args)
+        assert formed == [t.size]
+        assert dm.metadata["tau_step"] is not None
+        assert np.array_equal(dm.density, direct.density)
 
     def test_lattice_only_where_it_forms_fewer_rows(self, monkeypatch,
                                                     basis, trap, recoil):
